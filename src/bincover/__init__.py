@@ -4,91 +4,10 @@ The package bundles three online strategies (Dual Next Fit, Dual Harmonic,
 and an advice-driven Dual Harmonic with critical bins), the advice oracle,
 a bit-exact self-delimiting advice tape codec, an exact optimal-covering
 solver with certificates, instance generators, and a CLI harness that
-checks competitive bounds as hard inequalities.
+checks competitive bounds as hard inequalities.  The package root exports
+only ``__version__``; import from the submodules (``bincover.model``,
+``bincover.strategies``, ``bincover.oracle``, ``bincover.codec``,
+``bincover.optimal``, ``bincover.generators``, ``bincover.cli``).
 """
-
-from .codec import (
-    AdvicePayload,
-    MalformedAdviceError,
-    TapeCursor,
-    TapeError,
-    TapeTruncationError,
-    decode_advice,
-    decode_advice_bits,
-    decode_self_delim,
-    encode_advice,
-    encode_self_delim,
-    minimal_binary,
-    read_tape,
-    write_tape,
-)
-from .generators import (
-    DEFAULT_BIG,
-    DEFAULT_SMALL,
-    RandomSpec,
-    example_certificate,
-    example_instance,
-    random_instance,
-    smalls_first_certificate,
-    smalls_first_family,
-)
-from .model import (
-    Bin,
-    Covering,
-    DomainError,
-    Item,
-    NormalizedInput,
-    Rational,
-    SMALL,
-    Sequence,
-    Small,
-    TItem,
-    classify,
-    covering_items,
-    is_covered,
-    load,
-    load_instance,
-    merge_prepacked,
-    normalize_sequence,
-    parse_instance,
-    save_instance,
-    total_load,
-)
-from .optimal import (
-    BOUND_SPECS,
-    BoundSpec,
-    Certificate,
-    CertificateError,
-    GroupDecomposition,
-    IdentityReport,
-    SizeLimitError,
-    canonical_group_keys,
-    check_bound,
-    decompose,
-    floor_load_bound,
-    gap_deficiency,
-    key_is_easy,
-    key_is_gap,
-    load_certificate,
-    normalize_certificate,
-    opt_exact,
-    parse_certificate,
-    save_certificate,
-    verify_certificate,
-    verify_count_identities,
-)
-from .oracle import OracleResult, compute_advice, count_t_items, select_mth_largest
-from .strategies import (
-    AdviceDualHarmonic,
-    DualHarmonic,
-    DualNextFit,
-    Placement,
-    StrategyConfig,
-    advice_dh_run,
-    dh_run,
-    dnf_run,
-    make_strategy,
-    replay,
-)
 
 __version__ = "0.1.0"

@@ -1,8 +1,10 @@
 """Command line harness.
 
 Subcommands: run, oracle, opt, gen, verify-bounds, encode-advice,
-decode-advice.  Exit codes: 0 success, 1 usage, 2 input parse, 3 bound or
-identity violation, 4 exact-solve limit exceeded.
+decode-advice.  Exit codes: 0 success, 1 usage (a ``--limit`` outside
+0..MAX_SIZE_LIMIT included) or standard output closed early (as by
+``| head``), 2 input parse, 3 bound or identity violation, 4 exact-solve
+limit exceeded.
 
 CSV rows carry exact rationals as numerator/denominator pairs and are
 byte-identical across repeated runs with the same seed and flags; for that
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import random
 import sys
 import time
@@ -53,7 +56,8 @@ from .optimal import (
     BOUND_SPECS,
     Certificate,
     CertificateError,
-    SizeLimitError,
+    DEFAULT_SIZE_LIMIT,
+    MAX_SIZE_LIMIT,
     check_bound,
     decompose,
     floor_load_bound,
@@ -171,31 +175,44 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise CliError(EXIT_PARSE, f"cannot parse {what} {text!r} as a rational") from exc
 
 
-def _determine_opt(
-    raw_seq: Sequence,
-    certificate_path: str | None,
-    limit: int,
-) -> tuple[int | None, str, Certificate | None]:
-    """Pin the optimum: certificate plus floor bound, exact solve, or bound only."""
+@dataclass(frozen=True)
+class OptPin:
+    """What is known of OPT: exactly ``lower`` when ``by`` is set, otherwise
+    only ``lower <= OPT <= floor``."""
+
+    lower: int  # OPT once pinned; else the certificate count, or 0
+    floor: int  # floor of the total load, an upper bound on OPT
+    by: str | None  # "certificate" or "solver"; None when OPT is not pinned
+    cert: Certificate | None  # a covering with ``lower`` bins, when one is known
+
+
+def _load_certificate(path: str | None) -> Certificate | None:
+    if path is None:
+        return None
+    try:
+        return load_certificate(path)
+    except OSError as exc:
+        raise CliError(EXIT_PARSE, f"cannot read certificate: {exc}") from exc
+    except CertificateError as exc:
+        raise CliError(EXIT_PARSE, f"certificate rejected: {exc}") from exc
+
+
+def _pin_opt(raw_seq: Sequence, cert: Certificate | None, limit: int) -> OptPin:
+    """Pin OPT: a certificate that meets the floor-of-load bound, else the
+    exact search when n <= limit, else the bracket [certificate count, floor]."""
     floor_bound = floor_load_bound(raw_seq)
-    if certificate_path is not None:
+    count = 0
+    if cert is not None:
         try:
-            cert = load_certificate(certificate_path)
             count = verify_certificate(raw_seq, cert)
-        except OSError as exc:
-            raise CliError(EXIT_PARSE, f"cannot read certificate: {exc}") from exc
         except CertificateError as exc:
             raise CliError(EXIT_PARSE, f"certificate rejected: {exc}") from exc
         if count == floor_bound:
-            return count, OPT_EXACT, cert
-        if raw_seq.n <= limit:
-            opt, solved_cert = opt_exact(raw_seq, limit)
-            return opt, OPT_EXACT, solved_cert
-        return floor_bound, OPT_BOUND, cert
+            return OptPin(count, floor_bound, "certificate", cert)
     if raw_seq.n <= limit:
-        opt, cert = opt_exact(raw_seq, limit)
-        return opt, OPT_EXACT, cert
-    return floor_bound, OPT_BOUND, None
+        opt, solved = opt_exact(raw_seq, limit)
+        return OptPin(opt, floor_bound, "solver", solved)
+    return OptPin(count, floor_bound, None, cert)
 
 
 def _covering_lines(covering: Covering) -> list[str]:
@@ -230,14 +247,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.strategy == "dh":
             covering = dh_run(seq, k)
         else:
-            m, x_m = _resolve_advice(args, seq, k)
-            try:
-                covering = advice_dh_run(seq, k, m, x_m)
-            except DomainError as exc:
-                raise CliError(EXIT_PARSE, str(exc)) from exc
+            advice = _resolve_advice(args, seq, k)
+            if advice.m > len(seq):
+                raise CliError(EXIT_PARSE, f"advice m={advice.m} exceeds the {len(seq)} items to place")
+            m, x_m = advice.m, advice.x_m
+            covering = advice_dh_run(seq, k, m, x_m)
     covering = merge_prepacked(covering, normalized.prepacked)
 
-    opt, opt_kind, _ = _determine_opt(raw_seq, args.certificate, args.limit)
+    pin = _pin_opt(raw_seq, _load_certificate(args.certificate), args.limit)
+    opt, opt_kind = (pin.lower, OPT_EXACT) if pin.by else (pin.floor, OPT_BOUND)
     ratio = None
     bound_ok = None
     if opt_kind == OPT_EXACT and opt:
@@ -269,24 +287,30 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _resolve_advice(args: argparse.Namespace, seq: Sequence, k: int) -> tuple[int, Fraction]:
+def _explicit_advice(m: int, x_text: str) -> AdvicePayload:
+    try:
+        return AdvicePayload(m, _parse_fraction(x_text, "x_m"))
+    except TapeError as exc:
+        raise CliError(EXIT_PARSE, str(exc)) from exc
+
+
+def _resolve_advice(args: argparse.Namespace, seq: Sequence, k: int) -> AdvicePayload:
     sources = [args.oracle, args.tape is not None, args.m is not None or args.x is not None]
     if sum(bool(source) for source in sources) != 1:
         raise CliError(EXIT_USAGE, "adh needs exactly one advice source: --oracle, --tape, or --m with --x")
     if args.oracle:
         result = compute_advice(seq, k)
-        return result.m, result.x_m
+        return AdvicePayload(result.m, result.x_m)
     if args.tape is not None:
         try:
-            payload = decode_advice(TapeCursor(read_tape(args.tape)))
+            return decode_advice(TapeCursor(read_tape(args.tape)))
         except OSError as exc:
             raise CliError(EXIT_PARSE, f"cannot read tape: {exc}") from exc
         except TapeError as exc:
             raise CliError(EXIT_PARSE, f"malformed advice tape: {exc}") from exc
-        return payload.m, payload.x_m
     if args.m is None or args.x is None:
         raise CliError(EXIT_USAGE, "explicit advice needs both --m and --x")
-    return args.m, _parse_fraction(args.x, "x_m")
+    return _explicit_advice(args.m, args.x)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -298,9 +322,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"x_m      {result.x_m}")
     print(f"covered  {result.covered}")
     print("sweep:")
-    ordered = sorted((item.value for item in seq.items), reverse=True)
-    for m, covered in result.sweep:
-        x = Fraction(1) if m == 0 else ordered[m - 1]
+    for (m, covered), x in zip(result.sweep, result.thresholds):
         print(f"  m={m:<4d} x_m={str(x):<10s} covered={covered}")
     if args.emit_tape:
         write_tape(args.emit_tape, encode_advice(AdvicePayload(result.m, result.x_m)))
@@ -311,31 +333,22 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_opt(args: argparse.Namespace) -> int:
     values = _load_values(args.instance)
     raw_seq = Sequence.from_values(values)
-    floor_bound = floor_load_bound(raw_seq)
-    if args.certificate is not None:
-        try:
-            cert = load_certificate(args.certificate)
-            count = verify_certificate(raw_seq, cert)
-        except OSError as exc:
-            raise CliError(EXIT_PARSE, f"cannot read certificate: {exc}") from exc
-        except CertificateError as exc:
-            raise CliError(EXIT_PARSE, f"certificate rejected: {exc}") from exc
-        if count == floor_bound:
-            print(f"OPT = {count} (certificate {count} = floor bound {floor_bound})")
-        else:
-            print(f"certificate {count} <= OPT <= floor bound {floor_bound} (not pinned)")
+    pin = _pin_opt(raw_seq, _load_certificate(args.certificate), args.limit)
+    if pin.by == "certificate":
+        print(f"OPT = {pin.lower} (certificate {pin.lower} = floor bound {pin.floor})")
         return EXIT_OK
-    try:
-        opt, cert = opt_exact(raw_seq, args.limit)
-    except SizeLimitError:
-        print(f"OPT <= {floor_bound} (bound only: n={raw_seq.n} exceeds limit {args.limit})")
+    if pin.by is None and args.certificate is not None:
+        print(f"certificate {pin.lower} <= OPT <= floor bound {pin.floor} (not pinned)")
+        return EXIT_OK
+    if pin.by is None:
+        print(f"OPT <= {pin.floor} (bound only: n={raw_seq.n} exceeds limit {args.limit})")
         return EXIT_LIMIT
-    print(f"OPT = {opt} (exact; floor bound {floor_bound})")
+    print(f"OPT = {pin.lower} (exact; floor bound {pin.floor})")
     if args.emit_certificate:
-        save_certificate(args.emit_certificate, cert)
+        save_certificate(args.emit_certificate, pin.cert)
         print(f"certificate written to {args.emit_certificate}")
     else:
-        sys.stdout.write(format_certificate(cert))
+        sys.stdout.write(format_certificate(pin.cert))
     return EXIT_OK
 
 
@@ -385,11 +398,12 @@ def _verify_instances(args: argparse.Namespace) -> list[tuple[str, list[Fraction
     if args.example:
         instances.append(("example", list(example_instance().values()), example_certificate()))
     if args.smalls_first:
-        for text in args.smalls_first.split(","):
-            bins = int(text)
+        for bins in _int_list(args.smalls_first, "--smalls-first"):
             seq = smalls_first_family(bins)
             instances.append((f"smalls-first-{bins}", list(seq.values()), smalls_first_certificate(bins)))
     if args.random:
+        if not 0 <= args.nmin <= args.nmax:
+            raise CliError(EXIT_USAGE, f"need 0 <= --nmin <= --nmax, got {args.nmin} and {args.nmax}")
         rng = random.Random(args.seed)
         for index in range(args.random):
             n = rng.randint(args.nmin, args.nmax)
@@ -405,21 +419,27 @@ def _verify_instances(args: argparse.Namespace) -> list[tuple[str, list[Fraction
         directory = Path(args.instances)
         if not directory.is_dir():
             raise CliError(EXIT_PARSE, f"{directory} is not a directory")
-        for path in sorted(directory.glob("*.txt")):
+        paths = list(directory.glob("*.txt"))
+        paths.sort()  # file-name order keeps the report reproducible
+        for path in paths:
             instances.append((path.stem, _load_values(str(path)), None))
     if not instances:
         raise CliError(EXIT_USAGE, "no instances: use --example, --smalls-first, --random or --instances")
     return instances
 
 
-def cmd_verify_bounds(args: argparse.Namespace) -> int:
+def _int_list(text: str, flag: str) -> list[int]:
     try:
-        ks = [int(text) for text in args.k.split(",")]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"cannot parse --k {args.k!r}") from exc
+        raise CliError(EXIT_USAGE, f"cannot parse {flag} {text!r}") from exc
+
+
+def cmd_verify_bounds(args: argparse.Namespace) -> int:
+    ks = _int_list(args.k, "--k")
     for k in ks:
         if k not in BOUND_SPECS:
-            raise CliError(EXIT_USAGE, f"no bound spec for k={k}; choose among {sorted(BOUND_SPECS)}")
+            raise CliError(EXIT_USAGE, f"no bound spec for k={k}; choose among {list(BOUND_SPECS)}")
 
     reports: list[RunReport] = []
     violations: list[str] = []
@@ -428,17 +448,12 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     for instance_id, values, cert in _verify_instances(args):
         started = time.perf_counter()
         raw_seq = Sequence.from_values(values)
-        if cert is not None:
-            count = verify_certificate(raw_seq, cert)
-            floor_bound = floor_load_bound(raw_seq)
-            if count != floor_bound:
-                raise CliError(EXIT_LIMIT, f"{instance_id}: certificate does not pin the optimum")
-            opt = count
-        else:
-            try:
-                opt, cert = opt_exact(raw_seq, args.limit)
-            except SizeLimitError as exc:
-                raise CliError(EXIT_LIMIT, f"{instance_id}: {exc}") from exc
+        pin = _pin_opt(raw_seq, cert, args.limit)
+        if pin.by is None:
+            raise CliError(
+                EXIT_LIMIT, f"{instance_id}: n={raw_seq.n} exceeds limit {args.limit} and no certificate pins OPT"
+            )
+        opt, cert = pin.lower, pin.cert
         normalized = normalize_sequence(values)
         for k in ks:
             result = compute_advice(normalized.sequence, k)
@@ -490,12 +505,7 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_encode_advice(args: argparse.Namespace) -> int:
-    x = _parse_fraction(args.x, "x_m")
-    try:
-        payload = AdvicePayload(args.m, x)
-    except TapeError as exc:
-        raise CliError(EXIT_PARSE, str(exc)) from exc
-    bits = encode_advice(payload)
+    bits = encode_advice(_explicit_advice(args.m, args.x))
     print(bits)
     if args.tape:
         write_tape(args.tape, bits)
@@ -519,6 +529,13 @@ def cmd_decode_advice(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _add_limit(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--limit", type=int, choices=range(MAX_SIZE_LIMIT + 1), default=DEFAULT_SIZE_LIMIT, metavar="N",
+        help=f"exact-solve size limit, at most {MAX_SIZE_LIMIT} (default {DEFAULT_SIZE_LIMIT})",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bincover",
@@ -535,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--oracle", action="store_true", help="compute advice with the oracle")
     run.add_argument("--tape", help="read advice from a tape file")
     run.add_argument("--certificate", help="certificate file used to pin the optimum")
-    run.add_argument("--limit", type=int, default=15, help="exact-solve size limit")
+    _add_limit(run)
     run.add_argument("--csv", help="write the report as a CSV row")
     run.set_defaults(func=cmd_run)
 
@@ -547,8 +564,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = commands.add_parser("opt", help="solve or verify the optimal covering")
     opt.add_argument("instance")
-    opt.add_argument("--certificate", help="verify this certificate instead of solving")
-    opt.add_argument("--limit", type=int, default=15)
+    opt.add_argument(
+        "--certificate",
+        help="verify this certificate; if it falls short of the floor bound, solve exactly when n <= --limit",
+    )
+    _add_limit(opt)
     opt.add_argument("--emit-certificate", help="write the solved certificate to this path")
     opt.set_defaults(func=cmd_opt)
 
@@ -576,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--denominator-bound", type=int, default=100)
     verify.add_argument("--instances", help="directory of *.txt instance files")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--limit", type=int, default=15)
+    _add_limit(verify)
     verify.add_argument("--csv", help="write all reports to this CSV file")
     verify.set_defaults(func=cmd_verify_bounds)
 
@@ -602,7 +622,13 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on usage problems and 0 for --help
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early; send the unflushed rest to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .model import ONE, ZERO
+from .model import ONE, DomainError, check_advice
 
 Bits = str
 
@@ -95,13 +95,12 @@ class AdvicePayload:
     x_m: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x_m", Fraction(self.x_m))
-        if self.m < 0:
-            raise MalformedAdviceError(f"m must be non-negative, got {self.m}")
-        if self.m == 0 and self.x_m != ONE:
+        try:
+            object.__setattr__(self, "x_m", check_advice(self.m, self.x_m))
+        except DomainError as exc:
+            raise MalformedAdviceError(str(exc)) from exc
+        if self.m == 0 and self.x_m != ONE:  # one canonical tape per advice
             raise MalformedAdviceError(f"m = 0 requires the sentinel x_m = 1, got {self.x_m}")
-        if self.m > 0 and not ZERO < self.x_m <= ONE:
-            raise MalformedAdviceError(f"x_m must lie in ]0,1], got {self.x_m}")
 
 
 def encode_advice(payload: AdvicePayload) -> Bits:

@@ -31,6 +31,20 @@ class DomainError(ValueError):
     """A value fell outside the domain an operation is defined on."""
 
 
+def check_advice(m: int, x_m: Fraction | int | str) -> Fraction:
+    """Validate the advice pair (m, x_m) and return x_m as a Fraction.
+
+    The domain is m >= 0 and 0 < x_m <= 1, shared by the strategy and the
+    tape codec; the codec adds only its canonical x_m = 1 for m = 0.
+    """
+    if m < 0:
+        raise DomainError(f"m must be non-negative, got {m}")
+    x = Fraction(x_m)
+    if not ZERO < x <= ONE:
+        raise DomainError(f"x_m must lie in ]0,1], got {x}")
+    return x
+
+
 @dataclass(frozen=True)
 class Item:
     """One input value together with its 0-based position in the input."""
@@ -125,16 +139,19 @@ def total_load(seq: Sequence) -> Fraction:
 class Covering:
     """Covered bins produced by a run, plus items stranded in uncovered bins.
 
-    ``bins`` holds only covered bins, so ``covered_count == len(bins)``;
+    ``bins`` holds only covered bins, so ``covered_count`` is ``len(bins)``;
     the multiset of items across ``bins`` and ``leftover`` equals the input.
     ``prepacked_count`` records how many of the covered bins came from input
     normalization rather than from the strategy itself.
     """
 
     bins: list[Bin]
-    covered_count: int
     leftover: list[Item]
     prepacked_count: int = 0
+
+    @property
+    def covered_count(self) -> int:
+        return len(self.bins)
 
 
 def covering_items(covering: Covering) -> list[Item]:
@@ -193,12 +210,7 @@ def merge_prepacked(covering: Covering, prepacked: Iterable[Bin]) -> Covering:
     bins = list(covering.bins)
     for offset, bin in enumerate(extra):
         bins.append(Bin(next_id + offset, PREPACKED, list(bin.items)))
-    return Covering(
-        bins,
-        covering.covered_count + len(extra),
-        list(covering.leftover),
-        prepacked_count=covering.prepacked_count + len(extra),
-    )
+    return Covering(bins, list(covering.leftover), covering.prepacked_count + len(extra))
 
 
 def parse_instance(text: str) -> list[Fraction]:

@@ -22,6 +22,9 @@ from pathlib import Path
 from .model import ONE, ZERO, Sequence, TItem, classify, total_load
 
 DEFAULT_SIZE_LIMIT = 15
+# The search keeps three lists of 2^n entries: about 40 MB and several
+# seconds at n = 19, doubling with each further item.
+MAX_SIZE_LIMIT = 20
 
 
 class CertificateError(ValueError):

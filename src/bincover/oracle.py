@@ -15,19 +15,6 @@ from .model import ONE, DomainError, Sequence, TItem, classify
 from .strategies import advice_dh_run
 
 
-def select_mth_largest(seq: Sequence, m: int) -> Fraction:
-    """The m-th largest value in the sequence; m = 0 returns the sentinel 1.
-
-    Ties are kept as duplicates, matching a descending sort of the values.
-    """
-    if m == 0:
-        return ONE
-    if not 0 <= m <= seq.n:
-        raise DomainError(f"m must lie in 0..{seq.n}, got {m}")
-    ordered = sorted((item.value for item in seq.items), reverse=True)
-    return ordered[m - 1]
-
-
 def count_t_items(seq: Sequence, k: int, t: int) -> int:
     """Number of t-items in the sequence under the k-way classification."""
     if not 2 <= t <= k:
@@ -38,12 +25,17 @@ def count_t_items(seq: Sequence, k: int, t: int) -> int:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Best advice found by the sweep, plus the full sweep table."""
+    """Best advice found by the sweep, plus the full sweep table.
+
+    ``sweep[m]`` is ``(m, covered)`` and ``thresholds[m]`` the x_m it ran
+    with: the m-th largest value, or the sentinel 1 for m = 0.
+    """
 
     m: int
     x_m: Fraction
     covered: int
     sweep: tuple[tuple[int, int], ...]
+    thresholds: tuple[Fraction, ...]
 
 
 def compute_advice(seq: Sequence, k: int) -> OracleResult:
@@ -54,14 +46,13 @@ def compute_advice(seq: Sequence, k: int) -> OracleResult:
     """
     two_items = count_t_items(seq, k, 2)
     ordered = sorted((item.value for item in seq.items), reverse=True)
+    thresholds = (ONE, *ordered[:two_items])
     sweep: list[tuple[int, int]] = []
     best_m = 0
     best_covered = -1
-    best_x = ONE
-    for m in range(two_items + 1):
-        x_m = ONE if m == 0 else ordered[m - 1]
+    for m, x_m in enumerate(thresholds):
         covered = advice_dh_run(seq, k, m, x_m).covered_count
         sweep.append((m, covered))
         if covered > best_covered:
-            best_m, best_covered, best_x = m, covered, x_m
-    return OracleResult(best_m, best_x, best_covered, tuple(sweep))
+            best_m, best_covered = m, covered
+    return OracleResult(best_m, thresholds[best_m], best_covered, tuple(sweep), thresholds)

@@ -35,6 +35,7 @@ from .model import (
     Sequence,
     Small,
     TItem,
+    check_advice,
     classify,
 )
 
@@ -123,7 +124,7 @@ class DualNextFit(_StrategyBase):
     def finish(self) -> Covering:
         bins = list(self._closed)
         leftover = list(self._lane.active.items) if self._lane.active else []
-        return Covering(bins, len(bins), leftover)
+        return Covering(bins, leftover)
 
 
 class DualHarmonic(_StrategyBase):
@@ -160,7 +161,7 @@ class DualHarmonic(_StrategyBase):
 
     def finish(self) -> Covering:
         bins = list(self._closed)
-        return Covering(bins, len(bins), self._open_lane_leftover())
+        return Covering(bins, self._open_lane_leftover())
 
 
 class _CriticalBin:
@@ -187,11 +188,7 @@ class AdviceDualHarmonic(DualHarmonic):
     """
 
     def __init__(self, k: int, m: int, x_m: Fraction) -> None:
-        if m < 0:
-            raise DomainError(f"m must be non-negative, got {m}")
-        x = Fraction(x_m)
-        if not ZERO <= x <= ONE:
-            raise DomainError(f"x_m must lie in [0,1], got {x}")
+        x = check_advice(m, x_m)
         super().__init__(k)
         self.m = m
         self.x_m = x
@@ -249,7 +246,7 @@ class AdviceDualHarmonic(DualHarmonic):
                 leftover.extend(critical.bin.items)
         bins.extend(self._closed)
         leftover.extend(self._open_lane_leftover())
-        return Covering(bins, len(bins), leftover)
+        return Covering(bins, leftover)
 
 
 def make_strategy(config: StrategyConfig) -> DualNextFit | DualHarmonic | AdviceDualHarmonic:

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import bincover
 from bincover.cli import CSV_COLUMNS, main
 from bincover.generators import example_instance
 from bincover.model import format_instance, save_instance
@@ -220,3 +227,72 @@ def test_verify_bounds_requires_instances(capsys):
 def test_verify_bounds_rejects_unknown_k(capsys):
     assert main(["verify-bounds", "--example", "--k", "5"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (["run", "{example}", "--strategy", "adh", "--k", "3", "--m", "3", "--x", "0"], 2, "x_m must lie"),
+        (["run", "{example}", "--strategy", "adh", "--k", "3", "--m", "0", "--x", "1/2"], 2, "sentinel"),
+        (["run", "{example}", "--strategy", "adh", "--k", "3", "--m", "29", "--x", "1/2"], 2, "exceeds"),
+        (["opt", "{four}", "--certificate", "{partial}"], 0, "OPT = 2 (exact"),
+        (["verify-bounds", "--instances", "{sixteen}"], 4, "exceeds limit 15"),
+    ],
+    ids=["run-x-zero", "run-m-zero-no-sentinel", "run-m-above-n", "opt-partial-certificate", "verify-over-limit"],
+)
+def test_advice_domain_and_opt_pinning(tmp_path, capsys, argv, code, expected):
+    sixteen = tmp_path / "big"
+    sixteen.mkdir()
+    (sixteen / "s.txt").write_text("0.5\n" * 16)
+    (tmp_path / "four.txt").write_text("0.5\n" * 4)
+    (tmp_path / "partial.cert").write_text("0 1\n")  # valid, one bin short of the floor bound 2
+    paths = {
+        "example": write_example(tmp_path),
+        "four": tmp_path / "four.txt",
+        "partial": tmp_path / "partial.cert",
+        "sixteen": sixteen,
+    }
+    assert main([part.format(**paths) for part in argv]) == code
+    captured = capsys.readouterr()
+    assert expected in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "command", [["run", "{four}", "--strategy", "dnf"], ["opt", "{four}"], ["verify-bounds", "--instances", "{dir}"]]
+)
+def test_limit_above_cap_exits_1(tmp_path, capsys, command):
+    # four items, so that even an uncapped limit would only start a tiny search
+    (tmp_path / "four.txt").write_text("0.5\n" * 4)
+    argv = [part.format(four=tmp_path / "four.txt", dir=tmp_path) for part in command]
+    assert main(argv + ["--limit", "40"]) == 1
+    assert "--limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--smalls-first", "3,x"],
+        ["--random", "2", "--nmin", "10", "--nmax", "5"],
+        ["--random", "1", "--nmin", "-1", "--nmax", "-1"],
+    ],
+    ids=["smalls-first-not-int", "nmin-above-nmax", "negative-nmin"],
+)
+def test_verify_bounds_bad_flags_exit_1(capsys, flags):
+    assert main(["verify-bounds", *flags]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("0.37\n" * 20_000)
+    env = dict(os.environ, PYTHONPATH=str(Path(bincover.__file__).parents[1]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "bincover.cli", "run", str(path), "--strategy", "dnf"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as process:
+        # the report runs to hundreds of kB, well past a pipe buffer
+        assert process.stdout.readline().startswith(b"instance")
+        process.stdout.close()
+        assert process.wait(timeout=60) == 1
+        stderr = process.stderr.read().decode()
+    assert "Traceback" not in stderr

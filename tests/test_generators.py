@@ -13,7 +13,6 @@ from bincover.generators import (
 )
 from bincover.model import DomainError, parse_instance, format_instance, total_load
 from bincover.optimal import floor_load_bound, verify_certificate
-from bincover.oracle import select_mth_largest
 from bincover.strategies import advice_dh_run
 
 F = Fraction
@@ -63,8 +62,10 @@ def test_smalls_first_rejects_bad_parameters():
 @pytest.mark.parametrize("k", [3, 4])
 def test_smalls_first_covered_matches_closed_form(bins, k):
     seq = smalls_first_family(bins)
+    ordered = sorted(seq.values(), reverse=True)
     for m in range(bins + 1):
-        covered = advice_dh_run(seq, k, m, select_mth_largest(seq, m)).covered_count
+        x = F(1) if m == 0 else ordered[m - 1]
+        covered = advice_dh_run(seq, k, m, x).covered_count
         assert covered == smalls_first_covered(bins, m)
 
 

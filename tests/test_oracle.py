@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from bincover.model import DomainError, Sequence
 from bincover.generators import example_instance, smalls_first_family
-from bincover.oracle import compute_advice, count_t_items, select_mth_largest
+from bincover.oracle import compute_advice, count_t_items
 from bincover.strategies import advice_dh_run, dh_run
 
 F = Fraction
@@ -14,25 +14,26 @@ F = Fraction
 values_in_unit = st.fractions(min_value=F(1, 200), max_value=F(199, 200), max_denominator=200)
 
 
-def test_select_examples():
-    assert select_mth_largest(example_instance(), 2) == F(4, 5)
-    assert select_mth_largest(Sequence.from_values(["0.5"]), 0) == 1
-    assert select_mth_largest(Sequence.from_values(["0.3", "0.7", "0.7"]), 2) == F(7, 10)
+def test_thresholds_examples():
+    assert compute_advice(example_instance(), 3).thresholds[2] == F(4, 5)
+    assert compute_advice(Sequence.from_values(["0.5"]), 3).thresholds[0] == 1
+    assert compute_advice(Sequence.from_values(["0.3", "0.7", "0.7"]), 2).thresholds[2] == F(7, 10)
 
 
-def test_select_rejects_out_of_range():
-    seq = Sequence.from_values(["0.5"])
-    with pytest.raises(DomainError):
-        select_mth_largest(seq, 2)
-    with pytest.raises(DomainError):
-        select_mth_largest(seq, -1)
+def test_thresholds_stop_at_two_item_count():
+    assert compute_advice(Sequence.from_values(["0.5"]), 3).thresholds == (1, F(1, 2))
+    assert compute_advice(Sequence.from_values(["0.3", "0.7"]), 3).thresholds == (1, F(7, 10))
+    assert compute_advice(Sequence.from_values(["0.3"]), 3).thresholds == (1,)
 
 
-@given(st.lists(values_in_unit, min_size=1, max_size=30), st.data())
-def test_select_agrees_with_nlargest(values, data):
-    seq = Sequence.from_values(values)
-    m = data.draw(st.integers(min_value=1, max_value=len(values)))
-    assert select_mth_largest(seq, m) == heapq.nlargest(m, values)[-1]
+@given(st.lists(values_in_unit, min_size=1, max_size=30), st.integers(min_value=2, max_value=4))
+def test_thresholds_agree_with_nlargest(values, k):
+    result = compute_advice(Sequence.from_values(values), k)
+    assert len(result.thresholds) == len(result.sweep)
+    assert result.thresholds[0] == 1
+    for m, _ in result.sweep[1:]:
+        assert result.thresholds[m] == heapq.nlargest(m, values)[-1]
+    assert result.x_m == result.thresholds[result.m]
 
 
 def test_count_t_items_examples():
@@ -96,4 +97,4 @@ def test_sweep_entries_match_reruns(values, k, data):
     seq = Sequence.from_values(values)
     result = compute_advice(seq, k)
     m, covered = data.draw(st.sampled_from(result.sweep))
-    assert advice_dh_run(seq, k, m, select_mth_largest(seq, m)).covered_count == covered
+    assert advice_dh_run(seq, k, m, result.thresholds[m]).covered_count == covered
