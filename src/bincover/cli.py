@@ -2,9 +2,9 @@
 
 Subcommands: run, oracle, opt, gen, verify-bounds, encode-advice,
 decode-advice.  Exit codes: 0 success, 1 usage (a ``--limit`` outside
-0..MAX_SIZE_LIMIT included) or standard output closed early (as by
-``| head``), 2 input parse, 3 bound or identity violation, 4 exact-solve
-limit exceeded.
+0..MAX_SIZE_LIMIT and a ``--k`` below 2 included) or standard output closed
+early (as by ``| head``), 2 input parse, 3 bound or identity violation,
+4 exact-solve limit exceeded.
 
 CSV rows carry exact rationals as numerator/denominator pairs and are
 byte-identical across repeated runs with the same seed and flags; for that
@@ -244,6 +244,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         k = args.k
         if k is None:
             raise CliError(EXIT_USAGE, f"strategy {args.strategy} requires --k")
+        _check_k(k)
         if args.strategy == "dh":
             covering = dh_run(seq, k)
         else:
@@ -287,6 +288,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_k(k: int) -> None:
+    if k < 2:
+        raise CliError(EXIT_USAGE, f"k must be at least 2, got {k}")
+
+
 def _explicit_advice(m: int, x_text: str) -> AdvicePayload:
     try:
         return AdvicePayload(m, _parse_fraction(x_text, "x_m"))
@@ -314,6 +320,7 @@ def _resolve_advice(args: argparse.Namespace, seq: Sequence, k: int) -> AdvicePa
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    _check_k(args.k)
     values = _load_values(args.instance)
     normalized = normalize_sequence(values)
     seq = normalized.sequence

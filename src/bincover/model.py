@@ -1,15 +1,18 @@
 """Exact core model for online bin covering.
 
-Every quantity is a :class:`fractions.Fraction`; there is no floating point
-anywhere in the library.  Items, sequences, bins and coverings are plain
-data objects shared by the strategies, the advice oracle, the exact solver
-and the CLI harness.
+Every value is a :class:`fractions.Fraction`; there is no floating point
+anywhere in the library.  Hot loops add and compare loads as exact integers
+over a common denominator instead (:attr:`Sequence.scale`, :func:`scaled`).
+Items, sequences, bins and coverings are plain data objects shared by the
+strategies, the advice oracle, the exact solver and the CLI harness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -68,6 +71,17 @@ class Small:
 SMALL = Small()
 
 
+def class_index(numerator: int, denominator: int) -> int:
+    """The t with 1/t <= v < 1/(t-1) for v = numerator/denominator in ]0,1[.
+
+    That t is the exact ceiling of 1/v, computed on the integers alone; the
+    value is a t-item under k classes when t <= k and small otherwise.
+    """
+    if not 0 < numerator < denominator:
+        raise DomainError(f"classify is defined on ]0,1[, got {Fraction(numerator, denominator)}")
+    return -(-denominator // numerator)
+
+
 def classify(value: Fraction, k: int) -> TItem | Small:
     """Return the size class of ``value`` under the k-way partition.
 
@@ -77,13 +91,16 @@ def classify(value: Fraction, k: int) -> TItem | Small:
     if k < 2:
         raise DomainError(f"k must be at least 2, got {k}")
     v = Fraction(value)
-    if not ZERO < v < ONE:
-        raise DomainError(f"classify is defined on ]0,1[, got {v}")
-    reciprocal = 1 / v
-    t = -(-reciprocal.numerator // reciprocal.denominator)  # exact ceil
+    t = class_index(v.numerator, v.denominator)
     if t > k:
         return SMALL
     return TItem(t)
+
+
+def scaled(value: Fraction, scale: int) -> int:
+    """``value * scale`` as an int; ``scale`` must be a multiple of the
+    value's denominator, such as the :attr:`Sequence.scale` it comes from."""
+    return value.numerator * (scale // value.denominator)
 
 
 @dataclass
@@ -119,6 +136,17 @@ class Sequence:
     @property
     def n(self) -> int:
         return len(self.items)
+
+    @cached_property
+    def scale(self) -> int:
+        """The lcm of the item denominators (1 when empty): every value
+        times ``scale`` is an integer.  Computed once per sequence."""
+        # Pairwise rounds over the distinct denominators keep the operands
+        # balanced: a running lcm is quadratic in many distinct primes.
+        factors = list({item.value.denominator for item in self.items}) or [1]
+        while len(factors) > 1:
+            factors = [math.lcm(*factors[i:i + 2]) for i in range(0, len(factors), 2)]
+        return factors[0]
 
     def values(self) -> tuple[Fraction, ...]:
         return tuple(item.value for item in self.items)

@@ -13,13 +13,12 @@ upper bound: a covering of c bins has load at least c).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
 
-from .model import ONE, ZERO, Sequence, TItem, classify, total_load
+from .model import ONE, ZERO, Sequence, TItem, classify, scaled
 
 DEFAULT_SIZE_LIMIT = 15
 # The search keeps three lists of 2^n entries: about 40 MB and several
@@ -44,13 +43,8 @@ class Certificate:
 
 def floor_load_bound(seq: Sequence) -> int:
     """floor(total load): an upper bound on the optimal number of bins."""
-    return math.floor(total_load(seq))
-
-
-def _scaled_weights(values: list[Fraction]) -> tuple[list[int], int]:
-    # Common-denominator integers keep the search exact without Fraction cost.
-    scale = math.lcm(*(value.denominator for value in values))
-    return [value.numerator * (scale // value.denominator) for value in values], scale
+    scale = seq.scale
+    return sum(scaled(item.value, scale) for item in seq.items) // scale
 
 
 def opt_exact(seq: Sequence, size_limit: int = DEFAULT_SIZE_LIMIT) -> tuple[int, Certificate]:
@@ -65,7 +59,9 @@ def opt_exact(seq: Sequence, size_limit: int = DEFAULT_SIZE_LIMIT) -> tuple[int,
     if n == 0:
         return 0, Certificate(())
 
-    weights, target = _scaled_weights([item.value for item in seq.items])
+    # Common-denominator integers keep the search exact without Fraction cost.
+    target = seq.scale
+    weights = [scaled(item.value, target) for item in seq.items]
     size = 1 << n
     loads = [0] * size
     for mask in range(1, size):

@@ -14,29 +14,34 @@ close a bin the moment its load reaches 1:
 
 Runs are deterministic: the same (config, advice, sequence) produces the
 same covering, bin ids included.
+
+Loads are exact integers over the strategy's *scale*, a common denominator
+of every value seen so far (and of x_m).  The scale only grows: an item
+whose denominator does not divide it multiplies every open load by the
+growth factor.  Whole runs start from the sequence's own
+:attr:`~bincover.model.Sequence.scale`, so they never rescale partway.
+``step`` reports loads as Fractions; whole runs build no per-step trace.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
     CRITICAL,
     DNF_BIN,
-    ONE,
     SMALL_BIN,
     T_BIN,
-    ZERO,
     Bin,
     Covering,
     DomainError,
     Item,
     Sequence,
-    Small,
-    TItem,
     check_advice,
-    classify,
+    class_index,
+    scaled,
 )
 
 RULE_DNF = "dnf"
@@ -70,30 +75,37 @@ class Placement:
     closed: bool
 
 
+# The raw outcome of one step: rule, bin, load and virtual load after the
+# step (ints over the strategy's scale; virtual is None outside critical
+# bins), and whether the step closed the bin.
+RawStep = tuple[str, Bin, int, int | None, bool]
+
+
 class _Lane:
     """A next-fit lane: one active bin, closed the moment it is covered."""
+
+    __slots__ = ("_strategy", "_kind", "_t", "active", "load")
 
     def __init__(self, strategy: "_StrategyBase", kind: str, t: int | None = None):
         self._strategy = strategy
         self._kind = kind
         self._t = t
         self.active: Bin | None = None
-        self.load = ZERO
+        self.load = 0  # over the strategy's scale
 
-    def place(self, item: Item) -> tuple[Bin, Fraction, bool]:
-        if self.active is None:
-            self.active = Bin(self._strategy._next_id(), self._kind, [], self._t)
-            self.load = ZERO
+    def place(self, rule: str, item: Item, weight: int) -> RawStep:
         bin = self.active
+        if bin is None:
+            bin = self.active = Bin(self._strategy._next_id(), self._kind, [], self._t)
         bin.items.append(item)
-        self.load += item.value
-        load_after = self.load
-        closed = load_after >= ONE
-        if closed:
+        load_after = self.load + weight
+        if load_after >= self._strategy._scale:
             self._strategy._closed.append(bin)
             self.active = None
-            self.load = ZERO
-        return bin, load_after, closed
+            self.load = 0
+            return rule, bin, load_after, None, True
+        self.load = load_after
+        return rule, bin, load_after, None, False
 
 
 class _StrategyBase:
@@ -101,11 +113,57 @@ class _StrategyBase:
         self._ids = 0
         self._closed: list[Bin] = []
         self._steps = 0
+        self._scale = 1
 
     def _next_id(self) -> int:
         allocated = self._ids
         self._ids += 1
         return allocated
+
+    def _lanes(self) -> list[_Lane]:
+        raise NotImplementedError
+
+    def _rescale(self, divisor: int) -> None:
+        """Grow the scale to a multiple of ``divisor``, keeping every open
+        load exact."""
+        scale = math.lcm(self._scale, divisor)
+        factor = scale // self._scale
+        if factor == 1:
+            return
+        self._scale = scale
+        self._grow(factor)
+
+    def _grow(self, factor: int) -> None:
+        for lane in self._lanes():
+            lane.load *= factor
+
+    def _advance(self, item: Item, weight: int) -> RawStep:
+        """Place ``item``, of ``weight`` over the current scale."""
+        raise NotImplementedError
+
+    def step(self, item: Item) -> Placement:
+        """Place one item and report where it went, loads as Fractions."""
+        value = item.value
+        if self._scale % value.denominator:
+            self._rescale(value.denominator)
+        scale = self._scale
+        rule, bin, load_after, virtual_after, closed = self._advance(item, scaled(value, scale))
+        placement = Placement(
+            self._steps, item, rule, bin.id, bin.kind, Fraction(load_after, scale),
+            None if virtual_after is None else Fraction(virtual_after, scale), closed,
+        )
+        self._steps += 1
+        return placement
+
+    def _open_lane_leftover(self) -> list[Item]:
+        leftover: list[Item] = []
+        for lane in self._lanes():
+            if lane.active is not None:
+                leftover.extend(lane.active.items)
+        return leftover
+
+    def finish(self) -> Covering:
+        return Covering(list(self._closed), self._open_lane_leftover())
 
 
 class DualNextFit(_StrategyBase):
@@ -115,16 +173,11 @@ class DualNextFit(_StrategyBase):
         super().__init__()
         self._lane = _Lane(self, DNF_BIN)
 
-    def step(self, item: Item) -> Placement:
-        bin, load_after, closed = self._lane.place(item)
-        placement = Placement(self._steps, item, RULE_DNF, bin.id, bin.kind, load_after, None, closed)
-        self._steps += 1
-        return placement
+    def _lanes(self) -> list[_Lane]:
+        return [self._lane]
 
-    def finish(self) -> Covering:
-        bins = list(self._closed)
-        leftover = list(self._lane.active.items) if self._lane.active else []
-        return Covering(bins, leftover)
+    def _advance(self, item: Item, weight: int) -> RawStep:
+        return self._lane.place(RULE_DNF, item, weight)
 
 
 class DualHarmonic(_StrategyBase):
@@ -138,42 +191,26 @@ class DualHarmonic(_StrategyBase):
         self._t_lanes = {t: _Lane(self, T_BIN, t) for t in range(2, k + 1)}
         self._small_lane = _Lane(self, SMALL_BIN)
 
-    def step(self, item: Item) -> Placement:
-        item_class = classify(item.value, self.k)
-        if isinstance(item_class, TItem):
-            lane, rule = self._t_lanes[item_class.t], RULE_T_BIN
-        else:
-            lane, rule = self._small_lane, RULE_SMALL_BIN
-        bin, load_after, closed = lane.place(item)
-        placement = Placement(self._steps, item, rule, bin.id, bin.kind, load_after, None, closed)
-        self._steps += 1
-        return placement
+    def _lanes(self) -> list[_Lane]:
+        return [*self._t_lanes.values(), self._small_lane]
 
-    def _open_lane_leftover(self) -> list[Item]:
-        leftover: list[Item] = []
-        for t in range(2, self.k + 1):
-            lane = self._t_lanes[t]
-            if lane.active is not None:
-                leftover.extend(lane.active.items)
-        if self._small_lane.active is not None:
-            leftover.extend(self._small_lane.active.items)
-        return leftover
-
-    def finish(self) -> Covering:
-        bins = list(self._closed)
-        return Covering(bins, self._open_lane_leftover())
+    def _advance(self, item: Item, weight: int) -> RawStep:
+        value = item.value
+        t = class_index(value.numerator, value.denominator)
+        if t > self.k:
+            return self._small_lane.place(RULE_SMALL_BIN, item, weight)
+        return self._t_lanes[t].place(RULE_T_BIN, item, weight)
 
 
 class _CriticalBin:
-    """Strategy-side state of one critical bin."""
+    """Strategy-side state of one critical bin; loads over the scale."""
 
-    __slots__ = ("bin", "virtual", "actual", "has_big")
+    __slots__ = ("bin", "virtual", "actual")
 
-    def __init__(self, bin: Bin, virtual: Fraction):
+    def __init__(self, bin: Bin, virtual: int):
         self.bin = bin
         self.virtual = virtual
-        self.actual = ZERO
-        self.has_big = False
+        self.actual = 0
 
 
 class AdviceDualHarmonic(DualHarmonic):
@@ -192,55 +229,48 @@ class AdviceDualHarmonic(DualHarmonic):
         super().__init__(k)
         self.m = m
         self.x_m = x
-        self._criticals = [_CriticalBin(Bin(self._next_id(), CRITICAL), x) for _ in range(m)]
+        self._scale = x.denominator
+        self._x = x.numerator  # x_m over the scale
+        self._criticals = [_CriticalBin(Bin(self._next_id(), CRITICAL), self._x) for _ in range(m)]
         self._next_without_big = 0
         self._next_unsaturated = 0
 
-    def step(self, item: Item) -> Placement:
-        v = item.value
-        if self.m and v >= self.x_m and self._next_without_big < self.m:
+    def _grow(self, factor: int) -> None:
+        super()._grow(factor)
+        self._x *= factor
+        for critical in self._criticals:
+            critical.virtual *= factor
+            critical.actual *= factor
+
+    def _advance(self, item: Item, weight: int) -> RawStep:
+        if self._next_without_big < self.m and weight >= self._x:
             critical = self._criticals[self._next_without_big]
             self._next_without_big += 1
             critical.bin.items.append(item)
-            critical.virtual += v - self.x_m
-            critical.actual += v
-            critical.has_big = True
-            placement = Placement(
-                self._steps, item, RULE_CRITICAL_BIG, critical.bin.id, CRITICAL,
-                critical.actual, critical.virtual, False,
-            )
-            self._steps += 1
-            return placement
-        item_class = classify(v, self.k)
-        if isinstance(item_class, Small):
-            position = self._next_unsaturated
-            while position < self.m and self._criticals[position].virtual >= ONE:
-                position += 1
-            self._next_unsaturated = position
-            if position < self.m:
-                critical = self._criticals[position]
-                critical.bin.items.append(item)
-                critical.virtual += v
-                critical.actual += v
-                placement = Placement(
-                    self._steps, item, RULE_CRITICAL_SMALL, critical.bin.id, CRITICAL,
-                    critical.actual, critical.virtual, False,
-                )
-                self._steps += 1
-                return placement
-            lane, rule = self._small_lane, RULE_SMALL_BIN
-        else:
-            lane, rule = self._t_lanes[item_class.t], RULE_T_BIN
-        bin, load_after, closed = lane.place(item)
-        placement = Placement(self._steps, item, rule, bin.id, bin.kind, load_after, None, closed)
-        self._steps += 1
-        return placement
+            critical.virtual += weight - self._x
+            critical.actual += weight
+            return RULE_CRITICAL_BIG, critical.bin, critical.actual, critical.virtual, False
+        value = item.value
+        t = class_index(value.numerator, value.denominator)
+        if t <= self.k:
+            return self._t_lanes[t].place(RULE_T_BIN, item, weight)
+        position = self._next_unsaturated
+        while position < self.m and self._criticals[position].virtual >= self._scale:
+            position += 1
+        self._next_unsaturated = position
+        if position == self.m:
+            return self._small_lane.place(RULE_SMALL_BIN, item, weight)
+        critical = self._criticals[position]
+        critical.bin.items.append(item)
+        critical.virtual += weight
+        critical.actual += weight
+        return RULE_CRITICAL_SMALL, critical.bin, critical.actual, critical.virtual, False
 
     def finish(self) -> Covering:
         bins: list[Bin] = []
         leftover: list[Item] = []
         for critical in self._criticals:
-            if critical.actual >= ONE:
+            if critical.actual >= self._scale:
                 bins.append(critical.bin)
             else:
                 leftover.extend(critical.bin.items)
@@ -264,8 +294,12 @@ def make_strategy(config: StrategyConfig) -> DualNextFit | DualHarmonic | Advice
 
 
 def _run(strategy, seq: Sequence) -> Covering:
+    # Every item's denominator divides the scale from here on.
+    strategy._rescale(seq.scale)
+    scale = strategy._scale
+    advance = strategy._advance
     for item in seq.items:
-        strategy.step(item)
+        advance(item, scaled(item.value, scale))
     return strategy.finish()
 
 
@@ -287,4 +321,5 @@ def advice_dh_run(seq: Sequence, k: int, m: int, x_m: Fraction) -> Covering:
 def replay(seq: Sequence, config: StrategyConfig) -> list[Placement]:
     """Deterministic per-step trace of a run, for debugging and audits."""
     strategy = make_strategy(config)
+    strategy._rescale(seq.scale)
     return [strategy.step(item) for item in seq.items]

@@ -282,6 +282,24 @@ def test_verify_bounds_bad_flags_exit_1(capsys, flags):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["oracle", "--k", "1"],
+        ["oracle", "--k", "-3"],
+        ["run", "--strategy", "dh", "--k", "1"],
+        ["run", "--strategy", "adh", "--k", "0", "--m", "1", "--x", "1/2"],
+    ],
+    ids=["oracle-k1", "oracle-k-negative", "run-dh-k1", "run-adh-k0"],
+)
+def test_k_below_two_exits_1(tmp_path, capsys, flags):
+    instance = write_example(tmp_path)
+    command, *rest = flags
+    assert main([command, str(instance), *rest]) == 1
+    k = rest[rest.index("--k") + 1]
+    assert capsys.readouterr().err == f"error: k must be at least 2, got {k}\n"
+
+
 def test_closed_pipe_exits_quietly(tmp_path):
     path = tmp_path / "big.txt"
     path.write_text("0.37\n" * 20_000)

@@ -22,6 +22,7 @@ from bincover.strategies import (
     advice_dh_run,
     dh_run,
     dnf_run,
+    make_strategy,
     replay,
 )
 
@@ -195,17 +196,86 @@ def test_advice_virtual_load_bookkeeping(values, k):
     seq = Sequence.from_values(values)
     m = min(2, len(values))
     x = F(1, 2)
-    strategy = AdviceDualHarmonic(k, m, x)
-    for item in seq:
-        strategy.step(item)
-    for critical in strategy._criticals:
-        big = [item.value for item in critical.bin.items if item.value >= x]
+    trace = replay(seq, StrategyConfig("adh", k=k, m=m, x_m=x))
+    for bin_id in range(m):  # critical bins take the first ids
+        steps = [step for step in trace if step.bin_kind == CRITICAL and step.bin_id == bin_id]
+        big = [step.item.value for step in steps if step.item.value >= x]
         smalls = sum(
-            (item.value for item in critical.bin.items if item.value < x), F(0)
+            (step.item.value for step in steps if step.item.value < x), F(0)
         )
         expected = (big[0] if big else x) + smalls
-        assert critical.virtual == expected
-        assert critical.has_big == bool(big)
+        virtual = steps[-1].virtual_after if steps else x
+        assert virtual == expected
+        has_big = any(step.rule == "critical-big" for step in steps)
+        assert has_big == bool(big)
+
+
+# --- integer loads against Fraction sums -------------------------------------
+
+# Item denominators: the 1/100 grid and a few primes, so the scale grows
+# several times in a hand-driven run.  x_m takes a prime denominator no item
+# has, so it never divides the sequence's scale.
+ITEM_PRIMES = (101, 103, 107, 109, 113)
+X_PRIMES = (997, 1009)
+
+grid_values = st.integers(min_value=1, max_value=99).map(lambda p: F(p, 100))
+prime_values = st.sampled_from(ITEM_PRIMES).flatmap(
+    lambda q: st.integers(min_value=1, max_value=q - 1).map(lambda p: F(p, q))
+)
+off_scale_x = st.sampled_from(X_PRIMES).flatmap(
+    lambda q: st.integers(min_value=q // 3, max_value=q - 1).map(lambda p: F(p, q))
+)
+mixed_configs = st.one_of(
+    st.just(StrategyConfig("dnf")),
+    st.integers(min_value=2, max_value=4).map(lambda k: StrategyConfig("dh", k=k)),
+    st.builds(
+        lambda k, m, x: StrategyConfig("adh", k=k, m=m, x_m=x),
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=1, max_value=4),
+        off_scale_x,
+    ),
+)
+
+
+def check_against_fractions(trace, config):
+    """Every reported load equals the Fraction sum of its bin's items so far;
+    returns the number of bins whose items sum to at least 1."""
+    placed: dict[int, list] = {}
+    with_big: set[int] = set()
+    for step in trace:
+        values = placed.setdefault(step.bin_id, [])
+        values.append(step.item.value)
+        total = sum(values, F(0))
+        assert step.load_after == total
+        if step.bin_kind == CRITICAL:
+            assert not step.closed
+            if step.rule == "critical-big":
+                with_big.add(step.bin_id)
+            # x_m stands in for the large item until it arrives
+            assert step.virtual_after == total + (0 if step.bin_id in with_big else config.x_m)
+        else:
+            assert step.virtual_after is None
+            assert step.closed == (total >= 1)
+    return sum(1 for values in placed.values() if sum(values, F(0)) >= 1)
+
+
+@given(st.lists(st.one_of(grid_values, prime_values), max_size=30), mixed_configs)
+def test_integer_loads_match_fraction_sums(values, config):
+    seq = Sequence.from_values(values)
+    replayed = replay(seq, config)
+    # By hand the scale starts at 1 (or x_m's denominator) and grows mid-run.
+    strategy = make_strategy(config)
+    stepped = [strategy.step(item) for item in seq]
+    assert stepped == replayed
+    covered = check_against_fractions(stepped, config)
+    if config.name == "dnf":
+        run = dnf_run(seq)
+    elif config.name == "dh":
+        run = dh_run(seq, config.k)
+    else:
+        run = advice_dh_run(seq, config.k, config.m, config.x_m)
+    assert run.covered_count == covered
+    assert strategy.finish() == run
 
 
 # --- shared behaviour -------------------------------------------------------
