@@ -2,9 +2,10 @@
 
 Subcommands: run, oracle, opt, gen, verify-bounds, encode-advice,
 decode-advice.  Exit codes: 0 success, 1 usage (a ``--limit`` outside
-0..MAX_SIZE_LIMIT and a ``--k`` below 2 included) or standard output closed
-early (as by ``| head``), 2 input parse, 3 bound or identity violation,
-4 exact-solve limit exceeded.
+0..MAX_SIZE_LIMIT, a ``--k`` below 2, a ``verify-bounds --denominator-bound``
+below 3 and a negative ``gen random --n`` included) or standard output
+closed early (as by ``| head``), 2 input parse, 3 bound or identity
+violation, 4 exact-solve limit exceeded.
 
 CSV rows carry exact rationals as numerator/denominator pairs and are
 byte-identical across repeated runs with the same seed and flags; for that
@@ -47,6 +48,7 @@ from .model import (
     Covering,
     DomainError,
     Sequence,
+    load,
     load_instance,
     merge_prepacked,
     normalize_sequence,
@@ -219,9 +221,8 @@ def _covering_lines(covering: Covering) -> list[str]:
     lines = []
     for bin in covering.bins:
         values = " ".join(str(item.value) for item in bin.items)
-        total = sum((item.value for item in bin.items), Fraction(0))
         tag = f"{bin.kind}" + (f" t={bin.t}" if bin.t is not None else "")
-        lines.append(f"  bin {bin.id} ({tag}) load {total}: {values}")
+        lines.append(f"  bin {bin.id} ({tag}) load {load(bin)}: {values}")
     if covering.leftover:
         values = " ".join(str(item.value) for item in covering.leftover)
         lines.append(f"  leftover: {values}")
@@ -341,20 +342,20 @@ def cmd_opt(args: argparse.Namespace) -> int:
     values = _load_values(args.instance)
     raw_seq = Sequence.from_values(values)
     pin = _pin_opt(raw_seq, _load_certificate(args.certificate), args.limit)
-    if pin.by == "certificate":
-        print(f"OPT = {pin.lower} (certificate {pin.lower} = floor bound {pin.floor})")
-        return EXIT_OK
     if pin.by is None and args.certificate is not None:
         print(f"certificate {pin.lower} <= OPT <= floor bound {pin.floor} (not pinned)")
         return EXIT_OK
     if pin.by is None:
         print(f"OPT <= {pin.floor} (bound only: n={raw_seq.n} exceeds limit {args.limit})")
         return EXIT_LIMIT
-    print(f"OPT = {pin.lower} (exact; floor bound {pin.floor})")
+    if pin.by == "certificate":
+        print(f"OPT = {pin.lower} (certificate {pin.lower} = floor bound {pin.floor})")
+    else:
+        print(f"OPT = {pin.lower} (exact; floor bound {pin.floor})")
     if args.emit_certificate:
         save_certificate(args.emit_certificate, pin.cert)
         print(f"certificate written to {args.emit_certificate}")
-    else:
+    elif pin.by == "solver":
         sys.stdout.write(format_certificate(pin.cert))
     return EXIT_OK
 
@@ -411,6 +412,8 @@ def _verify_instances(args: argparse.Namespace) -> list[tuple[str, list[Fraction
     if args.random:
         if not 0 <= args.nmin <= args.nmax:
             raise CliError(EXIT_USAGE, f"need 0 <= --nmin <= --nmax, got {args.nmin} and {args.nmax}")
+        if args.denominator_bound < 3:  # d < 3 leaves no range 1/d < (d-1)/d to draw from
+            raise CliError(EXIT_USAGE, f"--denominator-bound must be at least 3, got {args.denominator_bound}")
         rng = random.Random(args.seed)
         for index in range(args.random):
             n = rng.randint(args.nmin, args.nmax)
@@ -576,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify this certificate; if it falls short of the floor bound, solve exactly when n <= --limit",
     )
     _add_limit(opt)
-    opt.add_argument("--emit-certificate", help="write the solved certificate to this path")
+    opt.add_argument("--emit-certificate", help="write the certificate that pins OPT to this path")
     opt.set_defaults(func=cmd_opt)
 
     gen = commands.add_parser("gen", help="generate an instance file")

@@ -46,10 +46,16 @@ def minimal_binary(value: int) -> Bits:
 
 @dataclass
 class TapeCursor:
-    """Read position on an advice tape; reads advance it monotonically."""
+    """Read position on an advice tape; reads advance it monotonically.
+
+    The tape must hold only 0 and 1: this is the bit check of every decode.
+    """
 
     tape: Bits
     position: int = 0
+
+    def __post_init__(self) -> None:
+        _check_bits(self.tape)
 
     def read(self, count: int) -> Bits:
         end = self.position + count
@@ -127,10 +133,6 @@ def decode_advice(cursor: TapeCursor) -> AdvicePayload:
     return AdvicePayload(m, Fraction(numerator, denominator))
 
 
-def decode_advice_bits(bits: Bits) -> AdvicePayload:
-    return decode_advice(TapeCursor(_check_bits(bits)))
-
-
 _PACKED_HEADER_BYTES = 8
 
 
@@ -166,4 +168,4 @@ def read_tape(path: str | Path) -> Bits:
             )
         bits = "".join(format(byte, "08b") for byte in body)
         return bits[:count]
-    return _check_bits(path.read_text().strip())
+    return path.read_text().strip()

@@ -114,6 +114,8 @@ def random_instance(spec: RandomSpec) -> Sequence:
     hi_bound = Fraction(spec.value_max)
     if not 0 < lo_bound < hi_bound < ONE:
         raise DomainError(f"need 0 < value_min < value_max < 1, got {lo_bound}, {hi_bound}")
+    if spec.n < 0:
+        raise DomainError(f"n must be non-negative, got {spec.n}")
     if spec.denominator_bound < 1:
         raise DomainError(f"denominator_bound must be positive, got {spec.denominator_bound}")
     scale = spec.denominator_bound

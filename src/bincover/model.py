@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
-
-Rational = Fraction
+from typing import Iterable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -26,7 +24,6 @@ CRITICAL = "critical"
 T_BIN = "t-bin"
 SMALL_BIN = "small-bin"
 DNF_BIN = "dnf"
-OPT_BIN = "opt"
 PREPACKED = "prepacked"
 
 
@@ -56,45 +53,16 @@ class Item:
     source_index: int
 
 
-@dataclass(frozen=True)
-class TItem:
-    """Size class of values v with 1/t <= v < 1/(t-1), for 2 <= t <= k."""
-
-    t: int
-
-
-@dataclass(frozen=True)
-class Small:
-    """Size class of values below 1/k."""
-
-
-SMALL = Small()
-
-
 def class_index(numerator: int, denominator: int) -> int:
     """The t with 1/t <= v < 1/(t-1) for v = numerator/denominator in ]0,1[.
 
     That t is the exact ceiling of 1/v, computed on the integers alone; the
-    value is a t-item under k classes when t <= k and small otherwise.
+    value is a t-item under k classes when t <= k and small otherwise, so
+    1/2 is a 2-item and exactly 1/k is a k-item.
     """
     if not 0 < numerator < denominator:
-        raise DomainError(f"classify is defined on ]0,1[, got {Fraction(numerator, denominator)}")
+        raise DomainError(f"a size class is defined on ]0,1[, got {Fraction(numerator, denominator)}")
     return -(-denominator // numerator)
-
-
-def classify(value: Fraction, k: int) -> TItem | Small:
-    """Return the size class of ``value`` under the k-way partition.
-
-    Values in [1/t, 1/(t-1)) are t-items and values below 1/k are small.
-    Comparisons are exact, so 1/2 is a 2-item and exactly 1/k is a k-item.
-    """
-    if k < 2:
-        raise DomainError(f"k must be at least 2, got {k}")
-    v = Fraction(value)
-    t = class_index(v.numerator, v.denominator)
-    if t > k:
-        return SMALL
-    return TItem(t)
 
 
 def scaled(value: Fraction, scale: int) -> int:
@@ -116,11 +84,6 @@ class Bin:
 def load(bin: Bin) -> Fraction:
     """Exact sum of the item values in ``bin`` (0 for an empty bin)."""
     return sum((item.value for item in bin.items), ZERO)
-
-
-def is_covered(bin: Bin) -> bool:
-    """True iff the bin's load is at least 1 (exact comparison)."""
-    return load(bin) >= ONE
 
 
 @dataclass(frozen=True)
@@ -154,14 +117,6 @@ class Sequence:
     def __len__(self) -> int:
         return len(self.items)
 
-    def __iter__(self) -> Iterator[Item]:
-        return iter(self.items)
-
-
-def total_load(seq: Sequence) -> Fraction:
-    """Exact sum of all item values in the sequence."""
-    return sum((item.value for item in seq.items), ZERO)
-
 
 @dataclass
 class Covering:
@@ -180,15 +135,6 @@ class Covering:
     @property
     def covered_count(self) -> int:
         return len(self.bins)
-
-
-def covering_items(covering: Covering) -> list[Item]:
-    """All items of a covering: packed into bins or left over."""
-    items: list[Item] = []
-    for bin in covering.bins:
-        items.extend(bin.items)
-    items.extend(covering.leftover)
-    return items
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
 
-from .model import ONE, ZERO, Sequence, TItem, classify, scaled
+from .model import ONE, ZERO, Sequence, class_index, scaled
 
 DEFAULT_SIZE_LIMIT = 15
 # The search keeps three lists of 2^n entries: about 40 MB and several
@@ -143,11 +143,6 @@ def key_is_gap(key: GroupKey) -> bool:
     return sum((Fraction(1, t - 1) for t in key), ZERO) < ONE
 
 
-def gap_deficiency(key: GroupKey) -> Fraction:
-    """Small mass every gap bin of this type must exceed: 1 - sum 1/(t-1)."""
-    return ONE - sum((Fraction(1, t - 1) for t in key), ZERO)
-
-
 @dataclass(frozen=True)
 class GroupDecomposition:
     """A covering's bins grouped by the multiset of their t-item types.
@@ -183,10 +178,10 @@ def decompose(seq: Sequence, cert: Certificate, k: int) -> GroupDecomposition:
         bin_small_mass = ZERO
         for index in indices:
             value = seq.items[index].value
-            item_class = classify(value, k)
-            if isinstance(item_class, TItem):
-                types.append(item_class.t)
-                placed[item_class.t] += 1
+            t = class_index(value.numerator, value.denominator)
+            if t <= k:
+                types.append(t)
+                placed[t] += 1
             else:
                 bin_small_mass += value
         key = tuple(sorted(types))
@@ -197,9 +192,9 @@ def decompose(seq: Sequence, cert: Certificate, k: int) -> GroupDecomposition:
         small_mass[key] = small_mass.get(key, ZERO) + bin_small_mass
     totals = {t: 0 for t in range(2, k + 1)}
     for item in seq.items:
-        item_class = classify(item.value, k)
-        if isinstance(item_class, TItem):
-            totals[item_class.t] += 1
+        t = class_index(item.value.numerator, item.value.denominator)
+        if t <= k:
+            totals[t] += 1
     return GroupDecomposition(
         k=k,
         groups=groups,
@@ -244,9 +239,10 @@ def normalize_certificate(seq: Sequence, cert: Certificate, k: int) -> Certifica
     for indices in cert.bins:
         typed: list[tuple[int, int]] = []  # (t, index)
         for index in indices:
-            item_class = classify(seq.items[index].value, k)
-            if isinstance(item_class, TItem):
-                typed.append((item_class.t, index))
+            value = seq.items[index].value
+            t = class_index(value.numerator, value.denominator)
+            if t <= k:
+                typed.append((t, index))
         typed.sort()
         reciprocal = ZERO
         core: list[int] = []

@@ -1,9 +1,10 @@
 """Advice computation by order statistics and exhaustive emulation.
 
-The oracle knows the whole input.  It counts the 2-items, tries every
-number m of critical bins from 0 up to that count with x_m set to the m-th
-largest input value, emulates the advice strategy for each, and reports
-the advice that covers the most bins (smallest such m on ties).
+The oracle knows the whole input.  It sorts the 2-items (the values of at
+least 1/2), tries every number m of critical bins from 0 up to their count
+with x_m set to the m-th largest input value, emulates the advice strategy
+for each, and reports the advice that covers the most bins (smallest such
+m on ties).
 """
 
 from __future__ import annotations
@@ -11,16 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ONE, DomainError, Sequence, TItem, classify
+from .model import ONE, Sequence, class_index
 from .strategies import advice_dh_run
-
-
-def count_t_items(seq: Sequence, k: int, t: int) -> int:
-    """Number of t-items in the sequence under the k-way classification."""
-    if not 2 <= t <= k:
-        raise DomainError(f"t must lie in 2..{k}, got {t}")
-    wanted = TItem(t)
-    return sum(1 for item in seq.items if classify(item.value, k) == wanted)
 
 
 @dataclass(frozen=True)
@@ -42,11 +35,13 @@ def compute_advice(seq: Sequence, k: int) -> OracleResult:
     """Sweep m from 0 to the 2-item count and keep the best advice.
 
     Each candidate m is emulated with x_m = m-th largest value; the result
-    is the smallest m whose emulated covered count is maximal.
+    is the smallest m whose emulated covered count is maximal.  The 2-items
+    are the same for every k >= 2 and are the largest values, so the m-th
+    largest 2-item is the m-th largest value.
     """
-    two_items = count_t_items(seq, k, 2)
-    ordered = sorted((item.value for item in seq.items), reverse=True)
-    thresholds = (ONE, *ordered[:two_items])
+    values = (item.value for item in seq.items)
+    two_items = sorted((v for v in values if class_index(v.numerator, v.denominator) == 2), reverse=True)
+    thresholds = (ONE, *two_items)
     sweep: list[tuple[int, int]] = []
     best_m = 0
     best_covered = -1

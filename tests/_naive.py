@@ -5,6 +5,8 @@ it enumerates every covering submask directly (no minimality pruning, no
 integer scaling) so it shares no shortcuts with the production solver.
 ``smalls_first_covered`` is the hand-derived covered count of the advice
 strategy on the default smalls-first family; it runs no strategy code.
+``total_load``, ``is_covered``, ``covering_items`` and ``gap_deficiency``
+are plain Fraction sums and reciprocals that the checks compare against.
 """
 
 from fractions import Fraction
@@ -57,3 +59,23 @@ def smalls_first_covered(bins: int, m: int) -> int:
     """
     rest = bins - m
     return m + rest // 2 + 5 * rest // 12
+
+
+def total_load(seq) -> Fraction:
+    """Exact sum of all item values in the sequence."""
+    return sum((item.value for item in seq.items), ZERO)
+
+
+def is_covered(bin) -> bool:
+    """True iff the bin's load is at least 1 (exact comparison)."""
+    return sum((item.value for item in bin.items), ZERO) >= ONE
+
+
+def covering_items(covering) -> list:
+    """All items of a covering: packed into bins or left over."""
+    return [item for bin in covering.bins for item in bin.items] + list(covering.leftover)
+
+
+def gap_deficiency(key) -> Fraction:
+    """Small mass every gap bin of this type must exceed: 1 - sum 1/(t-1)."""
+    return ONE - sum((Fraction(1, t - 1) for t in key), ZERO)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from _naive import exhaustive_partition_opt, smalls_first_covered
+from _naive import exhaustive_partition_opt, smalls_first_covered, total_load
 from bincover.cli import main
 from bincover.codec import (
     AdvicePayload,
@@ -36,7 +36,7 @@ from bincover.generators import (
     random_instance,
     smalls_first_family,
 )
-from bincover.model import Sequence, save_instance, total_load
+from bincover.model import Sequence, save_instance
 from bincover.optimal import (
     BOUND_SPECS,
     check_bound,

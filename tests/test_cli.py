@@ -122,6 +122,16 @@ def test_opt_with_certificate(tmp_path, capsys):
     assert "OPT = 11 (certificate 11 = floor bound 11)" in capsys.readouterr().out
 
 
+def test_opt_emits_the_pinning_certificate(tmp_path, capsys):
+    instance = write_example(tmp_path)
+    cert = tmp_path / "opt.cert"
+    cert.write_text(format_certificate(example_certificate()))
+    out = tmp_path / "out.cert"
+    assert main(["opt", str(instance), "--certificate", str(cert), "--emit-certificate", str(out)]) == 0
+    assert f"certificate written to {out}" in capsys.readouterr().out
+    assert out.read_text() == cert.read_text()
+
+
 def test_opt_exact_small_instance(tmp_path, capsys):
     path = tmp_path / "small.txt"
     path.write_text("0.5\n0.5\n0.5\n0.5\n")
@@ -146,9 +156,13 @@ def test_encode_decode_cli(tmp_path, capsys):
     assert "x_m  4/5" in out
 
 
-def test_decode_malformed_exits_2(capsys):
-    assert main(["decode-advice", "--bits", "11"]) == 2
-    assert "malformed" in capsys.readouterr().err
+@pytest.mark.parametrize("bits", ["11", "10x", "10110x0"], ids=["truncated", "non-binary", "non-binary-late"])
+def test_decode_malformed_exits_2(capsys, bits):
+    assert main(["decode-advice", "--bits", bits]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed advice:")
+    if bits.strip("01"):
+        assert "bit string may contain only 0 and 1" in err
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
@@ -274,8 +288,15 @@ def test_limit_above_cap_exits_1(tmp_path, capsys, command):
         ["--smalls-first", "3,x"],
         ["--random", "2", "--nmin", "10", "--nmax", "5"],
         ["--random", "1", "--nmin", "-1", "--nmax", "-1"],
+        ["--random", "1", "--denominator-bound", "0"],
+        ["--random", "1", "--denominator-bound", "1"],
+        ["--random", "1", "--denominator-bound", "2"],
+        ["--random", "1", "--denominator-bound", "-3"],
     ],
-    ids=["smalls-first-not-int", "nmin-above-nmax", "negative-nmin"],
+    ids=[
+        "smalls-first-not-int", "nmin-above-nmax", "negative-nmin",
+        "denominator-bound-0", "denominator-bound-1", "denominator-bound-2", "denominator-bound-negative",
+    ],
 )
 def test_verify_bounds_bad_flags_exit_1(capsys, flags):
     assert main(["verify-bounds", *flags]) == 1

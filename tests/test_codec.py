@@ -10,7 +10,6 @@ from bincover.codec import (
     TapeCursor,
     TapeTruncationError,
     decode_advice,
-    decode_advice_bits,
     decode_self_delim,
     encode_advice,
     encode_self_delim,
@@ -116,7 +115,7 @@ def test_advice_layout_is_three_fields():
 def test_advice_round_trip(m, num, den):
     x = F(min(num, den), max(num, den))
     payload = AdvicePayload(m, x)
-    assert decode_advice_bits(encode_advice(payload)) == payload
+    assert decode_advice(TapeCursor(encode_advice(payload))) == payload
 
 
 def test_payload_invariants():
@@ -137,13 +136,13 @@ def test_decode_rejects_zero_denominator():
         + encode_self_delim(minimal_binary(0))
     )
     with pytest.raises(MalformedAdviceError):
-        decode_advice_bits(bits)
+        decode_advice(TapeCursor(bits))
 
 
 def test_decode_rejects_truncation():
     bits = encode_advice(AdvicePayload(2, F(4, 5)))
     with pytest.raises(TapeTruncationError):
-        decode_advice_bits(bits[:-1])
+        decode_advice(TapeCursor(bits[:-1]))
 
 
 def test_tape_files_round_trip(tmp_path):

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from _naive import smalls_first_covered
+from _naive import smalls_first_covered, total_load
+from bincover.cli import main
 from bincover.generators import (
     RandomSpec,
     example_certificate,
@@ -11,7 +12,7 @@ from bincover.generators import (
     smalls_first_certificate,
     smalls_first_family,
 )
-from bincover.model import DomainError, parse_instance, format_instance, total_load
+from bincover.model import DomainError, parse_instance, format_instance
 from bincover.optimal import floor_load_bound, verify_certificate
 from bincover.strategies import advice_dh_run
 
@@ -91,3 +92,12 @@ def test_random_instance_rejects_bad_range():
         random_instance(RandomSpec(5, F(1, 2), F(3, 2), 100, 1))
     with pytest.raises(DomainError):
         random_instance(RandomSpec(5, F(1, 3), F(1, 2), 1, 1))
+
+
+def test_random_instance_rejects_negative_n(capsys):
+    with pytest.raises(DomainError):
+        random_instance(RandomSpec(-5, F(1, 100), F(99, 100), 100, 1))
+    assert main(["gen", "random", "--n", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")

@@ -3,22 +3,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from _naive import is_covered, total_load
 from bincover.model import (
     Bin,
     DNF_BIN,
     DomainError,
     Item,
-    SMALL,
     Sequence,
-    TItem,
-    classify,
+    class_index,
     format_instance,
-    is_covered,
     load,
     merge_prepacked,
     normalize_sequence,
     parse_instance,
-    total_load,
 )
 from bincover.generators import example_instance
 from bincover.strategies import dnf_run
@@ -30,27 +27,26 @@ def make_bin(*values) -> Bin:
     return Bin(0, DNF_BIN, [Item(F(v), i) for i, v in enumerate(values)])
 
 
+def size_class(value: Fraction) -> int:
+    return class_index(value.numerator, value.denominator)
+
+
 def test_classify_examples():
-    assert classify(F(1, 2), 4) == TItem(2)
-    assert classify(F(3, 10), 4) == TItem(4)
-    assert classify(F(1, 5), 4) == SMALL
-    assert classify(F(4, 5), 3) == TItem(2)
+    assert size_class(F(1, 2)) == 2
+    assert size_class(F(3, 10)) == 4  # a 4-item under k = 4
+    assert size_class(F(1, 5)) == 5  # small under k = 4
+    assert size_class(F(4, 5)) == 2
 
 
 def test_classify_boundaries_are_left_closed():
-    assert classify(F(1, 3), 3) == TItem(3)  # exactly 1/k is a k-item
-    assert classify(F(1, 3) - F(1, 1000), 3) == SMALL
+    assert size_class(F(1, 3)) == 3  # exactly 1/k is a k-item
+    assert size_class(F(1, 3) - F(1, 1000)) == 4  # small under k = 3
 
 
 @pytest.mark.parametrize("bad", [F(0), F(1), F(-1, 2), F(3, 2)])
 def test_classify_rejects_out_of_range(bad):
     with pytest.raises(DomainError):
-        classify(bad, 3)
-
-
-def test_classify_rejects_small_k():
-    with pytest.raises(DomainError):
-        classify(F(1, 2), 1)
+        size_class(bad)
 
 
 @given(
@@ -58,10 +54,9 @@ def test_classify_rejects_small_k():
     k=st.integers(min_value=2, max_value=6),
 )
 def test_classify_partition(v, k):
-    result = classify(v, k)
-    if isinstance(result, TItem):
-        t = result.t
-        assert 2 <= t <= k
+    t = size_class(v)
+    if t <= k:
+        assert 2 <= t
         assert F(1, t) <= v < F(1, t - 1)
     else:
         assert v < F(1, k)
@@ -70,13 +65,10 @@ def test_classify_partition(v, k):
 @given(
     a=st.fractions(min_value=F(1, 500), max_value=F(499, 500), max_denominator=500),
     b=st.fractions(min_value=F(1, 500), max_value=F(499, 500), max_denominator=500),
-    k=st.integers(min_value=2, max_value=6),
 )
-def test_classify_monotone(a, b, k):
+def test_classify_monotone(a, b):
     low, high = min(a, b), max(a, b)
-    cls_low, cls_high = classify(low, k), classify(high, k)
-    if isinstance(cls_low, TItem) and isinstance(cls_high, TItem):
-        assert cls_high.t <= cls_low.t
+    assert size_class(high) <= size_class(low)
 
 
 def test_load_examples():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _naive import exhaustive_partition_opt
+from _naive import exhaustive_partition_opt, gap_deficiency
 from bincover.generators import example_certificate, example_instance
 from bincover.model import Sequence
 from bincover.optimal import (
@@ -17,7 +17,6 @@ from bincover.optimal import (
     decompose,
     floor_load_bound,
     format_certificate,
-    gap_deficiency,
     key_is_easy,
     key_is_gap,
     normalize_certificate,

@@ -1,12 +1,11 @@
 import heapq
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
-from bincover.model import DomainError, Sequence
+from bincover.model import Sequence
 from bincover.generators import example_instance, smalls_first_family
-from bincover.oracle import compute_advice, count_t_items
+from bincover.oracle import compute_advice
 from bincover.strategies import advice_dh_run, dh_run
 
 F = Fraction
@@ -34,21 +33,6 @@ def test_thresholds_agree_with_nlargest(values, k):
     for m, _ in result.sweep[1:]:
         assert result.thresholds[m] == heapq.nlargest(m, values)[-1]
     assert result.x_m == result.thresholds[result.m]
-
-
-def test_count_t_items_examples():
-    seq = example_instance()
-    assert count_t_items(seq, 3, 2) == 10
-    assert count_t_items(Sequence.from_values([]), 3, 2) == 0
-    # direct-count oracle for 4-items under k=4: values in [1/4, 1/3)
-    expected = sum(1 for v in seq.values() if F(1, 4) <= v < F(1, 3))
-    assert expected == 4
-    assert count_t_items(seq, 4, 4) == expected
-
-
-def test_count_t_items_rejects_bad_t():
-    with pytest.raises(DomainError):
-        count_t_items(example_instance(), 3, 5)
 
 
 def test_oracle_on_example_instance():

@@ -5,15 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from _naive import covering_items, is_covered, total_load
 from bincover.model import (
     CRITICAL,
     DomainError,
     Sequence,
-    classify,
-    covering_items,
-    is_covered,
+    class_index,
     load,
-    total_load,
 )
 from bincover.generators import example_instance
 from bincover.strategies import (
@@ -100,7 +98,8 @@ def test_dh_rejects_bad_k():
 def test_dh_class_purity(values, k):
     covering = dh_run(Sequence.from_values(values), k)
     for bin in covering.bins:
-        classes = {classify(item.value, k) for item in bin.items}
+        # Every small item has a class index above k: they share one class.
+        classes = {min(class_index(item.value.numerator, item.value.denominator), k + 1) for item in bin.items}
         assert len(classes) == 1
 
 
@@ -180,7 +179,7 @@ def test_critical_bin_structure(case):
     if m == 0:
         x = F(1)
     strategy = AdviceDualHarmonic(k, m, x)
-    for item in Sequence.from_values(values):
+    for item in Sequence.from_values(values).items:
         strategy.step(item)
     for critical in strategy._criticals:
         big = [item for item in critical.bin.items if item.value >= x]
@@ -265,7 +264,7 @@ def test_integer_loads_match_fraction_sums(values, config):
     replayed = replay(seq, config)
     # By hand the scale starts at 1 (or x_m's denominator) and grows mid-run.
     strategy = make_strategy(config)
-    stepped = [strategy.step(item) for item in seq]
+    stepped = [strategy.step(item) for item in seq.items]
     assert stepped == replayed
     covered = check_against_fractions(stepped, config)
     if config.name == "dnf":
