@@ -161,9 +161,9 @@ def _write_csv(path: str | Path, reports: list[RunReport]) -> None:
             writer.writerow(report.csv_row())
 
 
-def _load_values(path: str):
+def _load_sequence(path: str) -> Sequence:
     try:
-        return load_instance(path)
+        return Sequence.from_values(load_instance(path))
     except OSError as exc:
         raise CliError(EXIT_PARSE, f"cannot read instance {path!r}: {exc}") from exc
     except DomainError as exc:
@@ -231,9 +231,8 @@ def _covering_lines(covering: Covering) -> list[str]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    values = _load_values(args.instance)
-    raw_seq = Sequence.from_values(values)
-    normalized = normalize_sequence(values)
+    raw_seq = _load_sequence(args.instance)
+    normalized = normalize_sequence(raw_seq)
     seq = normalized.sequence
 
     m: int | None = None
@@ -267,7 +266,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     report = RunReport(
         instance_id=Path(args.instance).stem,
-        n=len(values),
+        n=raw_seq.n,
         k=k,
         strategy=args.strategy,
         m=m,
@@ -322,9 +321,7 @@ def _resolve_advice(args: argparse.Namespace, seq: Sequence, k: int) -> AdvicePa
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     _check_k(args.k)
-    values = _load_values(args.instance)
-    normalized = normalize_sequence(values)
-    seq = normalized.sequence
+    seq = normalize_sequence(_load_sequence(args.instance)).sequence
     result = compute_advice(seq, args.k)
     print(f"m        {result.m}")
     print(f"x_m      {result.x_m}")
@@ -339,8 +336,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_opt(args: argparse.Namespace) -> int:
-    values = _load_values(args.instance)
-    raw_seq = Sequence.from_values(values)
+    raw_seq = _load_sequence(args.instance)
     pin = _pin_opt(raw_seq, _load_certificate(args.certificate), args.limit)
     if pin.by is None and args.certificate is not None:
         print(f"certificate {pin.lower} <= OPT <= floor bound {pin.floor} (not pinned)")
@@ -401,14 +397,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_instances(args: argparse.Namespace) -> list[tuple[str, list[Fraction], Certificate | None]]:
-    instances: list[tuple[str, list[Fraction], Certificate | None]] = []
+def _verify_instances(args: argparse.Namespace) -> list[tuple[str, Sequence, Certificate | None]]:
+    instances: list[tuple[str, Sequence, Certificate | None]] = []
     if args.example:
-        instances.append(("example", list(example_instance().values()), example_certificate()))
+        instances.append(("example", example_instance(), example_certificate()))
     if args.smalls_first:
         for bins in _int_list(args.smalls_first, "--smalls-first"):
-            seq = smalls_first_family(bins)
-            instances.append((f"smalls-first-{bins}", list(seq.values()), smalls_first_certificate(bins)))
+            instances.append((f"smalls-first-{bins}", smalls_first_family(bins), smalls_first_certificate(bins)))
     if args.random:
         if not 0 <= args.nmin <= args.nmax:
             raise CliError(EXIT_USAGE, f"need 0 <= --nmin <= --nmax, got {args.nmin} and {args.nmax}")
@@ -424,7 +419,7 @@ def _verify_instances(args: argparse.Namespace) -> list[tuple[str, list[Fraction
                 denominator_bound=args.denominator_bound,
                 seed=rng.randrange(2**32),
             )
-            instances.append((f"random-{args.seed}-{index:04d}", list(random_instance(spec).values()), None))
+            instances.append((f"random-{args.seed}-{index:04d}", random_instance(spec), None))
     if args.instances:
         directory = Path(args.instances)
         if not directory.is_dir():
@@ -432,7 +427,7 @@ def _verify_instances(args: argparse.Namespace) -> list[tuple[str, list[Fraction
         paths = list(directory.glob("*.txt"))
         paths.sort()  # file-name order keeps the report reproducible
         for path in paths:
-            instances.append((path.stem, _load_values(str(path)), None))
+            instances.append((path.stem, _load_sequence(str(path)), None))
     if not instances:
         raise CliError(EXIT_USAGE, "no instances: use --example, --smalls-first, --random or --instances")
     return instances
@@ -455,24 +450,21 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     violations: list[str] = []
     min_ratio: dict[int, Fraction | None] = {k: None for k in ks}
 
-    for instance_id, values, cert in _verify_instances(args):
+    for instance_id, raw_seq, cert in _verify_instances(args):
         started = time.perf_counter()
-        raw_seq = Sequence.from_values(values)
         pin = _pin_opt(raw_seq, cert, args.limit)
         if pin.by is None:
             raise CliError(
                 EXIT_LIMIT, f"{instance_id}: n={raw_seq.n} exceeds limit {args.limit} and no certificate pins OPT"
             )
         opt, cert = pin.lower, pin.cert
-        normalized = normalize_sequence(values)
+        normalized = normalize_sequence(raw_seq)
         for k in ks:
             result = compute_advice(normalized.sequence, k)
             covered = result.covered + len(normalized.prepacked)
             spec = BOUND_SPECS[k]
             bound_ok = check_bound(covered, opt, spec)
-            identity = verify_count_identities(
-                decompose(raw_seq, normalize_certificate(raw_seq, cert, k), k), raw_seq
-            )
+            identity = verify_count_identities(decompose(raw_seq, normalize_certificate(raw_seq, cert, k), k))
             if not bound_ok:
                 violations.append(
                     f"{instance_id} k={k}: covered {covered} < {spec.ratio}*{opt} - {spec.additive}"
@@ -485,7 +477,7 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
             reports.append(
                 RunReport(
                     instance_id=instance_id,
-                    n=len(values),
+                    n=raw_seq.n,
                     k=k,
                     strategy="adh",
                     m=result.m,

@@ -146,26 +146,24 @@ class NormalizedInput:
     discarded_zeros: tuple[Item, ...]
 
 
-def normalize_sequence(raw: Iterable[Fraction | int | str]) -> NormalizedInput:
-    """Split raw values into an online sequence over ]0,1[ and prepacked bins.
+def normalize_sequence(seq: Sequence) -> NormalizedInput:
+    """Split ``seq`` into an online sequence over ]0,1[ and prepacked bins.
 
     A value >= 1 covers a bin on its own and is removed from the online
     sequence; zeros are attached to the first prepacked bin when one exists
-    and recorded as discarded otherwise.  Negative values are rejected.
-    Kept items retain their position in the raw input as ``source_index``.
+    and recorded as discarded otherwise.  Kept items are ``seq``'s own, so
+    each retains its position in the raw input as ``source_index``.
     """
     kept: list[Item] = []
     prepacked: list[Bin] = []
     zeros: list[Item] = []
-    for index, value in enumerate(Fraction(v) for v in raw):
-        if value < 0:
-            raise DomainError(f"negative item value {value} at position {index}")
-        if value >= 1:
-            prepacked.append(Bin(len(prepacked), PREPACKED, [Item(value, index)]))
-        elif value == 0:
-            zeros.append(Item(value, index))
+    for item in seq.items:
+        if item.value >= 1:
+            prepacked.append(Bin(len(prepacked), PREPACKED, [item]))
+        elif item.value == 0:
+            zeros.append(item)
         else:
-            kept.append(Item(value, index))
+            kept.append(item)
     discarded: tuple[Item, ...] = ()
     if zeros:
         if prepacked:
@@ -192,7 +190,7 @@ def parse_instance(text: str) -> list[Fraction]:
 
     A value is either ``p/q`` with integers and q > 0, or a finite decimal
     parsed exactly (``0.45`` becomes 9/20).  Blank lines and lines starting
-    with ``#`` are ignored.
+    with ``#`` are ignored; a negative value is rejected with its line.
     """
     values: list[Fraction] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -203,6 +201,8 @@ def parse_instance(text: str) -> list[Fraction]:
             value = Fraction(line)
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"line {lineno}: cannot parse {line!r} as a rational") from exc
+        if value < 0:
+            raise DomainError(f"line {lineno}: negative item value {value}")
         values.append(value)
     return values
 

@@ -133,6 +133,16 @@ def verify_certificate(seq: Sequence, cert: Certificate) -> int:
 GroupKey = tuple[int, ...]
 
 
+def _t_class(value: Fraction, k: int) -> int | None:
+    """t for a t-item under k classes, else None: values outside ]0,1[ are
+    prepacked or dropped, never t-items, and count with the small ones."""
+    if 0 < value.numerator < value.denominator:
+        t = class_index(value.numerator, value.denominator)
+        if t <= k:
+            return t
+    return None
+
+
 def key_is_easy(key: GroupKey) -> bool:
     """The bin types alone guarantee coverage: sum of 1/t is at least 1."""
     return sum((Fraction(1, t) for t in key), ZERO) >= ONE
@@ -178,8 +188,8 @@ def decompose(seq: Sequence, cert: Certificate, k: int) -> GroupDecomposition:
         bin_small_mass = ZERO
         for index in indices:
             value = seq.items[index].value
-            t = class_index(value.numerator, value.denominator)
-            if t <= k:
+            t = _t_class(value, k)
+            if t is not None:
                 types.append(t)
                 placed[t] += 1
             else:
@@ -192,8 +202,8 @@ def decompose(seq: Sequence, cert: Certificate, k: int) -> GroupDecomposition:
         small_mass[key] = small_mass.get(key, ZERO) + bin_small_mass
     totals = {t: 0 for t in range(2, k + 1)}
     for item in seq.items:
-        t = class_index(item.value.numerator, item.value.denominator)
-        if t <= k:
+        t = _t_class(item.value, k)
+        if t is not None:
             totals[t] += 1
     return GroupDecomposition(
         k=k,
@@ -239,9 +249,8 @@ def normalize_certificate(seq: Sequence, cert: Certificate, k: int) -> Certifica
     for indices in cert.bins:
         typed: list[tuple[int, int]] = []  # (t, index)
         for index in indices:
-            value = seq.items[index].value
-            t = class_index(value.numerator, value.denominator)
-            if t <= k:
+            t = _t_class(seq.items[index].value, k)
+            if t is not None:
                 typed.append((t, index))
         typed.sort()
         reciprocal = ZERO
@@ -270,11 +279,8 @@ class IdentityReport:
     sequence_totals: tuple[tuple[int, int], ...]
     noncanonical_keys: tuple[GroupKey, ...]
 
-    def __bool__(self) -> bool:
-        return self.ok
 
-
-def verify_count_identities(decomp: GroupDecomposition, seq: Sequence) -> IdentityReport:
+def verify_count_identities(decomp: GroupDecomposition) -> IdentityReport:
     """Check that group counts account for every placed t-item exactly once.
 
     For each class t, the number of t-items inside the covering must equal

@@ -15,16 +15,17 @@ close a bin the moment its load reaches 1:
 Runs are deterministic: the same (config, advice, sequence) produces the
 same covering, bin ids included.
 
-Loads are exact integers over the strategy's *scale*, a common denominator
-of every value seen so far (and of x_m).  The scale only grows: an item
-whose denominator does not divide it multiplies every open load by the
-growth factor.  Whole runs start from the sequence's own
-:attr:`~bincover.model.Sequence.scale`, so they never rescale partway.
-``step`` reports loads as Fractions; whole runs build no per-step trace.
+Loads are exact integers over the strategy's *scale*, fixed when the
+strategy is built: the sequence's :attr:`~bincover.model.Sequence.scale`,
+or for the advice strategy its lcm with x_m's denominator.  An item weighs
+its value times that scale, so a load reaches 1 exactly when it reaches the
+scale.  :func:`replay` reports loads as Fractions; whole runs build no
+per-step trace.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,7 +97,7 @@ class _Lane:
     def place(self, rule: str, item: Item, weight: int) -> RawStep:
         bin = self.active
         if bin is None:
-            bin = self.active = Bin(self._strategy._next_id(), self._kind, [], self._t)
+            bin = self.active = Bin(next(self._strategy._ids), self._kind, [], self._t)
         bin.items.append(item)
         load_after = self.load + weight
         if load_after >= self._strategy._scale:
@@ -109,51 +110,14 @@ class _Lane:
 
 
 class _StrategyBase:
-    def __init__(self) -> None:
-        self._ids = 0
+    def __init__(self, scale: int) -> None:
+        self._ids = itertools.count()  # bin ids, in order of opening
         self._closed: list[Bin] = []
-        self._steps = 0
-        self._scale = 1
-
-    def _next_id(self) -> int:
-        allocated = self._ids
-        self._ids += 1
-        return allocated
-
-    def _lanes(self) -> list[_Lane]:
-        raise NotImplementedError
-
-    def _rescale(self, divisor: int) -> None:
-        """Grow the scale to a multiple of ``divisor``, keeping every open
-        load exact."""
-        scale = math.lcm(self._scale, divisor)
-        factor = scale // self._scale
-        if factor == 1:
-            return
         self._scale = scale
-        self._grow(factor)
-
-    def _grow(self, factor: int) -> None:
-        for lane in self._lanes():
-            lane.load *= factor
 
     def _advance(self, item: Item, weight: int) -> RawStep:
-        """Place ``item``, of ``weight`` over the current scale."""
+        """Place ``item``, of ``weight`` over the scale."""
         raise NotImplementedError
-
-    def step(self, item: Item) -> Placement:
-        """Place one item and report where it went, loads as Fractions."""
-        value = item.value
-        if self._scale % value.denominator:
-            self._rescale(value.denominator)
-        scale = self._scale
-        rule, bin, load_after, virtual_after, closed = self._advance(item, scaled(value, scale))
-        placement = Placement(
-            self._steps, item, rule, bin.id, bin.kind, Fraction(load_after, scale),
-            None if virtual_after is None else Fraction(virtual_after, scale), closed,
-        )
-        self._steps += 1
-        return placement
 
     def _open_lane_leftover(self) -> list[Item]:
         leftover: list[Item] = []
@@ -169,8 +133,8 @@ class _StrategyBase:
 class DualNextFit(_StrategyBase):
     """Dual Next Fit: fill one active bin until covered, then open a new one."""
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, scale: int) -> None:
+        super().__init__(scale)
         self._lane = _Lane(self, DNF_BIN)
 
     def _lanes(self) -> list[_Lane]:
@@ -181,25 +145,34 @@ class DualNextFit(_StrategyBase):
 
 
 class DualHarmonic(_StrategyBase):
-    """Dual Harmonic: one independent next-fit lane per size class."""
+    """Dual Harmonic: one independent next-fit lane per size class.
 
-    def __init__(self, k: int) -> None:
+    A class's lane is opened by its first item, so a run holds at most one
+    lane per item however large k is.
+    """
+
+    def __init__(self, k: int, scale: int) -> None:
         if k < 2:
             raise DomainError(f"k must be at least 2, got {k}")
-        super().__init__()
+        super().__init__(scale)
         self.k = k
-        self._t_lanes = {t: _Lane(self, T_BIN, t) for t in range(2, k + 1)}
+        self._t_lanes: dict[int, _Lane] = {}
         self._small_lane = _Lane(self, SMALL_BIN)
 
     def _lanes(self) -> list[_Lane]:
-        return [*self._t_lanes.values(), self._small_lane]
+        return [lane for _, lane in sorted(self._t_lanes.items())] + [self._small_lane]
+
+    def _open_t_lane(self, t: int) -> _Lane:
+        lane = self._t_lanes[t] = _Lane(self, T_BIN, t)
+        return lane
 
     def _advance(self, item: Item, weight: int) -> RawStep:
         value = item.value
         t = class_index(value.numerator, value.denominator)
         if t > self.k:
             return self._small_lane.place(RULE_SMALL_BIN, item, weight)
-        return self._t_lanes[t].place(RULE_T_BIN, item, weight)
+        lane = self._t_lanes.get(t) or self._open_t_lane(t)
+        return lane.place(RULE_T_BIN, item, weight)
 
 
 class _CriticalBin:
@@ -224,23 +197,15 @@ class AdviceDualHarmonic(DualHarmonic):
     their actual load reaches 1 by the end.
     """
 
-    def __init__(self, k: int, m: int, x_m: Fraction) -> None:
+    def __init__(self, k: int, m: int, x_m: Fraction, scale: int) -> None:
         x = check_advice(m, x_m)
-        super().__init__(k)
+        super().__init__(k, math.lcm(scale, x.denominator))
         self.m = m
         self.x_m = x
-        self._scale = x.denominator
-        self._x = x.numerator  # x_m over the scale
-        self._criticals = [_CriticalBin(Bin(self._next_id(), CRITICAL), self._x) for _ in range(m)]
+        self._x = scaled(x, self._scale)
+        self._criticals = [_CriticalBin(Bin(next(self._ids), CRITICAL), self._x) for _ in range(m)]
         self._next_without_big = 0
         self._next_unsaturated = 0
-
-    def _grow(self, factor: int) -> None:
-        super()._grow(factor)
-        self._x *= factor
-        for critical in self._criticals:
-            critical.virtual *= factor
-            critical.actual *= factor
 
     def _advance(self, item: Item, weight: int) -> RawStep:
         if self._next_without_big < self.m and weight >= self._x:
@@ -253,7 +218,8 @@ class AdviceDualHarmonic(DualHarmonic):
         value = item.value
         t = class_index(value.numerator, value.denominator)
         if t <= self.k:
-            return self._t_lanes[t].place(RULE_T_BIN, item, weight)
+            lane = self._t_lanes.get(t) or self._open_t_lane(t)
+            return lane.place(RULE_T_BIN, item, weight)
         position = self._next_unsaturated
         while position < self.m and self._criticals[position].virtual >= self._scale:
             position += 1
@@ -279,23 +245,23 @@ class AdviceDualHarmonic(DualHarmonic):
         return Covering(bins, leftover)
 
 
-def make_strategy(config: StrategyConfig) -> DualNextFit | DualHarmonic | AdviceDualHarmonic:
+def make_strategy(config: StrategyConfig, scale: int) -> DualNextFit | DualHarmonic | AdviceDualHarmonic:
+    """Build the configured strategy over ``scale``, a multiple of the
+    denominator of every value it will be given."""
     if config.name == "dnf":
-        return DualNextFit()
+        return DualNextFit(scale)
     if config.name == "dh":
         if config.k is None:
             raise DomainError("dh requires k")
-        return DualHarmonic(config.k)
+        return DualHarmonic(config.k, scale)
     if config.name == "adh":
         if config.k is None or config.m is None or config.x_m is None:
             raise DomainError("adh requires k, m and x_m")
-        return AdviceDualHarmonic(config.k, config.m, config.x_m)
+        return AdviceDualHarmonic(config.k, config.m, config.x_m, scale)
     raise DomainError(f"unknown strategy {config.name!r}")
 
 
 def _run(strategy, seq: Sequence) -> Covering:
-    # Every item's denominator divides the scale from here on.
-    strategy._rescale(seq.scale)
     scale = strategy._scale
     advance = strategy._advance
     for item in seq.items:
@@ -305,21 +271,26 @@ def _run(strategy, seq: Sequence) -> Covering:
 
 def dnf_run(seq: Sequence) -> Covering:
     """Run Dual Next Fit over a normalized sequence."""
-    return _run(DualNextFit(), seq)
+    return _run(DualNextFit(seq.scale), seq)
 
 
 def dh_run(seq: Sequence, k: int) -> Covering:
     """Run Dual Harmonic with k size classes over a normalized sequence."""
-    return _run(DualHarmonic(k), seq)
+    return _run(DualHarmonic(k, seq.scale), seq)
 
 
 def advice_dh_run(seq: Sequence, k: int, m: int, x_m: Fraction) -> Covering:
     """Run the advice strategy with ``m`` critical bins and threshold ``x_m``."""
-    return _run(AdviceDualHarmonic(k, m, x_m), seq)
+    return _run(AdviceDualHarmonic(k, m, x_m, seq.scale), seq)
 
 
 def replay(seq: Sequence, config: StrategyConfig) -> list[Placement]:
     """Deterministic per-step trace of a run, for debugging and audits."""
-    strategy = make_strategy(config)
-    strategy._rescale(seq.scale)
-    return [strategy.step(item) for item in seq.items]
+    strategy = make_strategy(config, seq.scale)
+    scale = strategy._scale
+    trace: list[Placement] = []
+    for index, item in enumerate(seq.items):
+        rule, bin, load_after, virtual_after, closed = strategy._advance(item, scaled(item.value, scale))
+        virtual = None if virtual_after is None else Fraction(virtual_after, scale)
+        trace.append(Placement(index, item, rule, bin.id, bin.kind, Fraction(load_after, scale), virtual, closed))
+    return trace

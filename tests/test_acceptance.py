@@ -132,7 +132,7 @@ def test_criterion_7_count_identities(random_corpus):
         for k in (2, 3, 4):
             normalized = normalize_certificate(seq, cert, k)
             assert verify_certificate(seq, normalized) == opt
-            outcome = verify_count_identities(decompose(seq, normalized, k), seq)
+            outcome = verify_count_identities(decompose(seq, normalized, k))
             if not outcome.ok:
                 failures.append((index, k, outcome))
     ok = not failures

@@ -223,6 +223,34 @@ def test_verify_bounds_on_instance_directory(tmp_path, capsys):
     assert "all bounds and identities hold" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("first, opt", [("1", "2"), ("0", "1")], ids=["unit", "zero"])
+def test_verify_bounds_on_values_outside_the_unit_interval(tmp_path, capsys, first, opt):
+    # A unit value is prepacked and a zero dropped: neither is a t-item.
+    directory = tmp_path / "instances"
+    directory.mkdir()
+    (directory / "a.txt").write_text(f"{first}\n0.5\n0.5\n0.3\n")
+    csv_path = tmp_path / "report.csv"
+    assert main(["verify-bounds", "--instances", str(directory), "--csv", str(csv_path)]) == 0
+    assert "all bounds and identities hold" in capsys.readouterr().out
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert [(row[1], row[7], row[8], row[9]) for row in rows] == [("4", opt, opt, "exact")] * 3
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["opt", "{file}"], ["run", "{file}", "--strategy", "dnf"], ["oracle", "{file}", "--k", "3"],
+     ["verify-bounds", "--instances", "{dir}"]],
+    ids=["opt", "run", "oracle", "verify-bounds"],
+)
+def test_negative_value_exits_2(tmp_path, capsys, command):
+    directory = tmp_path / "instances"
+    directory.mkdir()
+    path = directory / "negative.txt"
+    path.write_text("-1/2\n0.9\n0.6\n0.5\n")
+    assert main([part.format(file=path, dir=directory) for part in command]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 1: negative item value -1/2\n"
+
+
 def test_gen_random_has_no_certificate(tmp_path, capsys):
     out = tmp_path / "r.txt"
     code = main([

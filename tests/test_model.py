@@ -93,7 +93,7 @@ def test_load_fold_order_is_irrelevant(values):
 
 
 def test_normalize_prepacks_units():
-    result = normalize_sequence([F(1, 2), F(1), F(3, 10)])
+    result = normalize_sequence(Sequence.from_values([F(1, 2), F(1), F(3, 10)]))
     assert result.sequence.values() == (F(1, 2), F(3, 10))
     assert len(result.prepacked) == 1
     assert [item.value for item in result.prepacked[0].items] == [F(1)]
@@ -101,32 +101,28 @@ def test_normalize_prepacks_units():
 
 
 def test_normalize_records_discarded_zero():
-    result = normalize_sequence([F(0), F(3, 5)])
+    result = normalize_sequence(Sequence.from_values([F(0), F(3, 5)]))
     assert result.sequence.values() == (F(3, 5),)
     assert result.prepacked == ()
     assert [item.value for item in result.discarded_zeros] == [F(0)]
 
 
 def test_normalize_attaches_zero_to_prepacked_bin():
-    result = normalize_sequence([F(0), F(2), F(1, 2)])
+    result = normalize_sequence(Sequence.from_values([F(0), F(2), F(1, 2)]))
     assert result.discarded_zeros == ()
     assert [item.value for item in result.prepacked[0].items] == [F(2), F(0)]
 
 
 def test_normalize_keeps_source_positions():
-    result = normalize_sequence([F(1), F(1, 2), F(1, 3)])
+    result = normalize_sequence(Sequence.from_values([F(1), F(1, 2), F(1, 3)]))
     assert [item.source_index for item in result.sequence.items] == [1, 2]
-
-
-def test_normalize_rejects_negative():
-    with pytest.raises(DomainError):
-        normalize_sequence([F(-1, 2)])
 
 
 def test_normalize_leaves_example_untouched():
     seq = example_instance()
-    result = normalize_sequence(seq.values())
-    assert result.sequence.values() == seq.values()
+    result = normalize_sequence(seq)
+    assert result.sequence == seq
+    assert all(kept is item for kept, item in zip(result.sequence.items, seq.items))
     assert result.prepacked == ()
 
 
@@ -138,7 +134,7 @@ def test_total_load_examples():
 
 def test_merge_prepacked_counts_and_renumbers():
     covering = dnf_run(Sequence.from_values([F(1, 2), F(1, 2)]))
-    prepacked = normalize_sequence([F(1), F(1, 2), F(1, 2)]).prepacked
+    prepacked = normalize_sequence(Sequence.from_values([F(1), F(1, 2), F(1, 2)])).prepacked
     merged = merge_prepacked(covering, prepacked)
     assert merged.covered_count == 2
     assert merged.prepacked_count == 1
@@ -153,6 +149,11 @@ def test_parse_instance_formats():
 def test_parse_instance_reports_line():
     with pytest.raises(DomainError, match="line 2"):
         parse_instance("1/2\nnope\n")
+
+
+def test_parse_instance_rejects_negative():
+    with pytest.raises(DomainError, match="line 3: negative item value -1/2"):
+        parse_instance("# comment\n0.9\n-1/2\n0.5\n")
 
 
 def test_instance_round_trip_is_bit_exact():

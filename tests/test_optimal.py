@@ -174,18 +174,18 @@ def test_canonical_keys_k4_match_transcribed_tables():
 def test_identities_on_example_instance():
     seq = example_instance()
     cert = example_certificate()
-    report = verify_count_identities(decompose(seq, cert, 3), seq)
+    report = verify_count_identities(decompose(seq, cert, 3))
     assert report.ok
     assert report.placed == ((2, 10), (3, 7))
     assert report.sequence_totals == ((2, 10), (3, 7))
-    report2 = verify_count_identities(decompose(seq, cert, 2), seq)
+    report2 = verify_count_identities(decompose(seq, cert, 2))
     assert report2.ok
     assert report2.placed == ((2, 10),)
 
 
 def test_identities_hold_trivially_on_empty_covering():
     seq = seq_of("0.5", "0.4")
-    report = verify_count_identities(decompose(seq, Certificate(()), 3), seq)
+    report = verify_count_identities(decompose(seq, Certificate(()), 3))
     assert report.ok
     assert report.placed == ((2, 0), (3, 0))
     assert report.sequence_totals == ((2, 1), (3, 1))
@@ -194,7 +194,7 @@ def test_identities_hold_trivially_on_empty_covering():
 def test_identities_reject_noncanonical_key():
     seq = seq_of("0.5", "0.5", "0.5", "0.5")
     cert = Certificate(((0, 1, 2),))
-    report = verify_count_identities(decompose(seq, cert, 2), seq)
+    report = verify_count_identities(decompose(seq, cert, 2))
     assert not report.ok
     assert report.noncanonical_keys == ((2, 2, 2),)
 
@@ -228,7 +228,7 @@ def test_normalized_certificates_satisfy_identities(values, k):
     assert decomp.total_bins == opt
     canonical = set(canonical_group_keys(k))
     assert set(decomp.groups) <= canonical
-    assert verify_count_identities(decomp, seq).ok
+    assert verify_count_identities(decomp).ok
 
 
 @given(st.lists(grid_values, min_size=2, max_size=10), st.integers(min_value=2, max_value=4))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -15,12 +16,10 @@ from bincover.model import (
 )
 from bincover.generators import example_instance
 from bincover.strategies import (
-    AdviceDualHarmonic,
     StrategyConfig,
     advice_dh_run,
     dh_run,
     dnf_run,
-    make_strategy,
     replay,
 )
 
@@ -178,16 +177,19 @@ def test_critical_bin_structure(case):
     values, k, m, x = case
     if m == 0:
         x = F(1)
-    strategy = AdviceDualHarmonic(k, m, x)
-    for item in Sequence.from_values(values).items:
-        strategy.step(item)
-    for critical in strategy._criticals:
-        big = [item for item in critical.bin.items if item.value >= x]
-        smalls = [item for item in critical.bin.items if item.value < x]
+    trace = replay(Sequence.from_values(values), StrategyConfig("adh", k=k, m=m, x_m=x))
+    criticals: dict[int, list] = {}
+    for step in trace:
+        if step.rule in ("critical-big", "critical-small"):
+            criticals.setdefault(step.bin_id, []).append(step.item.value)
+    assert set(criticals) <= set(range(m))  # critical bins take the first ids
+    for placed in criticals.values():
+        big = [value for value in placed if value >= x]
+        smalls = [value for value in placed if value < x]
         assert len(big) <= 1
         if smalls:
             # before its last small item the virtual load was still below 1
-            assert x + sum(item.value for item in smalls[:-1]) < 1
+            assert x + sum(smalls[:-1], F(0)) < 1
 
 
 @given(small_sequences, st.integers(min_value=2, max_value=4))
@@ -211,9 +213,9 @@ def test_advice_virtual_load_bookkeeping(values, k):
 
 # --- integer loads against Fraction sums -------------------------------------
 
-# Item denominators: the 1/100 grid and a few primes, so the scale grows
-# several times in a hand-driven run.  x_m takes a prime denominator no item
-# has, so it never divides the sequence's scale.
+# Item denominators: the 1/100 grid and a few primes, so a sequence and its
+# prefixes have different scales.  x_m takes a prime denominator no item has,
+# so it never divides the sequence's scale.
 ITEM_PRIMES = (101, 103, 107, 109, 113)
 X_PRIMES = (997, 1009)
 
@@ -261,12 +263,7 @@ def check_against_fractions(trace, config):
 @given(st.lists(st.one_of(grid_values, prime_values), max_size=30), mixed_configs)
 def test_integer_loads_match_fraction_sums(values, config):
     seq = Sequence.from_values(values)
-    replayed = replay(seq, config)
-    # By hand the scale starts at 1 (or x_m's denominator) and grows mid-run.
-    strategy = make_strategy(config)
-    stepped = [strategy.step(item) for item in seq.items]
-    assert stepped == replayed
-    covered = check_against_fractions(stepped, config)
+    covered = check_against_fractions(replay(seq, config), config)
     if config.name == "dnf":
         run = dnf_run(seq)
     elif config.name == "dh":
@@ -274,7 +271,6 @@ def test_integer_loads_match_fraction_sums(values, config):
     else:
         run = advice_dh_run(seq, config.k, config.m, config.x_m)
     assert run.covered_count == covered
-    assert strategy.finish() == run
 
 
 # --- shared behaviour -------------------------------------------------------
@@ -313,11 +309,16 @@ def test_runs_are_deterministic(case):
     assert advice_dh_run(seq, k, m, x) == advice_dh_run(seq, k, m, x)
 
 
-@given(small_sequences, st.integers(min_value=0, max_value=25))
-def test_replay_prefix_causality(values, cut):
-    config = StrategyConfig("adh", k=3, m=2, x_m=F(3, 5))
+@given(
+    st.lists(st.one_of(grid_values, prime_values), max_size=30),
+    st.integers(min_value=0, max_value=30),
+    mixed_configs,
+)
+def test_replay_prefix_causality(values, cut, config):
+    # A prefix usually has a smaller scale than the whole sequence; the
+    # decisions on it must not depend on that.
     seq = Sequence.from_values(values)
-    prefix = Sequence.from_values(values[: min(cut, len(values))])
+    prefix = Sequence.from_values(values[:cut])
     full_trace = replay(seq, config)
     assert replay(prefix, config) == full_trace[: prefix.n]
 
@@ -338,3 +339,19 @@ def test_replay_empty_and_single():
     trace = replay(seq_of("0.5"), StrategyConfig("adh", k=2, m=0, x_m=F(1)))
     assert len(trace) == 1
     assert trace[0].rule == "t-bin"
+
+
+def test_lanes_do_not_scale_with_k():
+    # A class lane opens with its first item, so a huge k allocates nothing.
+    seq = example_instance()
+    top = max(class_index(v.numerator, v.denominator) for v in seq.values())
+    runs = (lambda k: dh_run(seq, k), lambda k: advice_dh_run(seq, k, 3, F(3, 5)))
+    for run in runs:
+        tracemalloc.start()
+        try:
+            covering = run(10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert covering == run(top)
+        assert peak < 100_000  # 10^5 lanes made up front take about 17 MB
