@@ -52,6 +52,7 @@ from .model import (
     load_instance,
     merge_prepacked,
     normalize_sequence,
+    parse_value,
     save_instance,
 )
 from .optimal import (
@@ -172,8 +173,8 @@ def _load_sequence(path: str) -> Sequence:
 
 def _parse_fraction(text: str, what: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return parse_value(text.strip())
+    except DomainError as exc:
         raise CliError(EXIT_PARSE, f"cannot parse {what} {text!r} as a rational") from exc
 
 
@@ -217,12 +218,12 @@ def _pin_opt(raw_seq: Sequence, cert: Certificate | None, limit: int) -> OptPin:
     return OptPin(count, floor_bound, None, cert)
 
 
-def _covering_lines(covering: Covering) -> list[str]:
+def _covering_lines(covering: Covering, scale: int) -> list[str]:
     lines = []
     for bin in covering.bins:
         values = " ".join(str(item.value) for item in bin.items)
         tag = f"{bin.kind}" + (f" t={bin.t}" if bin.t is not None else "")
-        lines.append(f"  bin {bin.id} ({tag}) load {load(bin)}: {values}")
+        lines.append(f"  bin {bin.id} ({tag}) load {load(bin, scale)}: {values}")
     if covering.leftover:
         values = " ".join(str(item.value) for item in covering.leftover)
         lines.append(f"  leftover: {values}")
@@ -282,7 +283,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if covering.prepacked_count:
         print(f"includes  {covering.prepacked_count} prepacked bin(s) from normalization")
     print("covering:")
-    print("\n".join(_covering_lines(covering)))
+    print("\n".join(_covering_lines(covering, raw_seq.scale)))
     if args.csv:
         _write_csv(args.csv, [report])
     return EXIT_OK
@@ -295,7 +296,7 @@ def _check_k(k: int) -> None:
 
 def _explicit_advice(m: int, x_text: str) -> AdvicePayload:
     try:
-        return AdvicePayload(m, _parse_fraction(x_text, "x_m"))
+        return AdvicePayload(m, _parse_fraction(x_text, "--x"))
     except TapeError as exc:
         raise CliError(EXIT_PARSE, str(exc)) from exc
 

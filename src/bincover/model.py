@@ -10,6 +10,7 @@ strategies, the advice oracle, the exact solver and the CLI harness.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -18,6 +19,7 @@ from typing import Iterable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_VALUE = re.compile(r"[+-]?(\d+/\d+|\d+\.?\d*|\.\d+)")  # the text of one value
 
 # Bin kinds.
 CRITICAL = "critical"
@@ -81,9 +83,9 @@ class Bin:
     t: int | None = None  # class index, set for t-bins only
 
 
-def load(bin: Bin) -> Fraction:
-    """Exact sum of the item values in ``bin`` (0 for an empty bin)."""
-    return sum((item.value for item in bin.items), ZERO)
+def load(bin: Bin, scale: int) -> Fraction:
+    """Exact sum of the item values in ``bin``; ``scale`` as in :func:`scaled`."""
+    return Fraction(sum(scaled(item.value, scale) for item in bin.items), scale)
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ class Sequence:
 
     @classmethod
     def from_values(cls, values: Iterable[Fraction | int | str]) -> "Sequence":
-        return cls(tuple(Item(Fraction(v), i) for i, v in enumerate(values)))
+        return cls(tuple(Item(v if isinstance(v, Fraction) else Fraction(v), i) for i, v in enumerate(values)))
 
     @property
     def n(self) -> int:
@@ -158,9 +160,10 @@ def normalize_sequence(seq: Sequence) -> NormalizedInput:
     prepacked: list[Bin] = []
     zeros: list[Item] = []
     for item in seq.items:
-        if item.value >= 1:
+        value = item.value
+        if value.numerator >= value.denominator:
             prepacked.append(Bin(len(prepacked), PREPACKED, [item]))
-        elif item.value == 0:
+        elif value.numerator == 0:
             zeros.append(item)
         else:
             kept.append(item)
@@ -185,24 +188,37 @@ def merge_prepacked(covering: Covering, prepacked: Iterable[Bin]) -> Covering:
     return Covering(bins, list(covering.leftover), covering.prepacked_count + len(extra))
 
 
-def parse_instance(text: str) -> list[Fraction]:
-    """Parse the shared instance format: one value per line.
+def parse_value(text: str) -> Fraction:
+    """``p/q`` with q > 0 or a finite decimal, exactly (``0.45`` is 9/20); any
+    other text, an exponent such as ``1e-5000`` included, is rejected."""
+    try:
+        if _VALUE.fullmatch(text):
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise DomainError(f"cannot parse {text!r} as a rational")
 
-    A value is either ``p/q`` with integers and q > 0, or a finite decimal
-    parsed exactly (``0.45`` becomes 9/20).  Blank lines and lines starting
-    with ``#`` are ignored; a negative value is rejected with its line.
+
+def parse_instance(text: str) -> list[Fraction]:
+    """Parse the shared instance format: one :func:`parse_value` per line.
+
+    Blank lines and lines starting with ``#`` are ignored; a bad or negative
+    value is rejected with its line.  Equal lines share one Fraction.
     """
     values: list[Fraction] = []
+    parsed: dict[str, Fraction] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            value = Fraction(line)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"line {lineno}: cannot parse {line!r} as a rational") from exc
-        if value < 0:
-            raise DomainError(f"line {lineno}: negative item value {value}")
+        value = parsed.get(line)
+        if value is None:
+            if not line or line.startswith("#"):
+                continue
+            try:
+                value = parsed[line] = parse_value(line)
+            except DomainError as exc:
+                raise DomainError(f"line {lineno}: {exc}") from exc
+            if value < 0:
+                raise DomainError(f"line {lineno}: negative item value {value}")
         values.append(value)
     return values
 

@@ -83,12 +83,15 @@ RawStep = tuple[str, Bin, int, int | None, bool]
 
 
 class _Lane:
-    """A next-fit lane: one active bin, closed the moment it is covered."""
+    """A next-fit lane: one active bin, closed the moment it is covered.
+    It keeps no reference to its strategy, so a run leaves no cycle."""
 
-    __slots__ = ("_strategy", "_kind", "_t", "active", "load")
+    __slots__ = ("_ids", "_closed", "_scale", "_kind", "_t", "active", "load")
 
     def __init__(self, strategy: "_StrategyBase", kind: str, t: int | None = None):
-        self._strategy = strategy
+        self._ids = strategy._ids
+        self._closed = strategy._closed
+        self._scale = strategy._scale
         self._kind = kind
         self._t = t
         self.active: Bin | None = None
@@ -97,11 +100,11 @@ class _Lane:
     def place(self, rule: str, item: Item, weight: int) -> RawStep:
         bin = self.active
         if bin is None:
-            bin = self.active = Bin(next(self._strategy._ids), self._kind, [], self._t)
+            bin = self.active = Bin(next(self._ids), self._kind, [], self._t)
         bin.items.append(item)
         load_after = self.load + weight
-        if load_after >= self._strategy._scale:
-            self._strategy._closed.append(bin)
+        if load_after >= self._scale:
+            self._closed.append(bin)
             self.active = None
             self.load = 0
             return rule, bin, load_after, None, True

@@ -251,6 +251,30 @@ def test_negative_value_exits_2(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: {path}: line 1: negative item value -1/2\n"
 
 
+@pytest.mark.parametrize(
+    "text, command, message",
+    [
+        ("1e-5000\n0.5\n0.7\n", ["run", "{file}", "--strategy", "dnf"], "{file}: line 1: cannot parse '1e-5000'"),
+        ("0.5\n0.7\n1E3\n", ["opt", "{file}"], "{file}: line 3: cannot parse '1E3'"),
+        ("0.5\n0.7\n", ["run", "{file}", "--strategy", "adh", "--k", "3", "--m", "1", "--x", "1e-5000"],
+         "cannot parse --x '1e-5000'"),
+        ("", ["encode-advice", "--m", "1", "--x", "5e-1"], "cannot parse --x '5e-1'"),
+        ("", ["gen", "smalls-first", "--bins", "2", "--big", "6e-1"], "cannot parse --big '6e-1'"),
+        ("", ["gen", "random", "--n", "3", "--value-min", "1e-2"], "cannot parse --value-min '1e-2'"),
+    ],
+    ids=["instance-line", "instance-late-line", "x", "encode-x", "big", "value-min"],
+)
+def test_exponent_notation_exits_2(tmp_path, capsys, text, command, message):
+    # Only p/q and finite decimals are values; an exponent is rejected
+    # before it can expand to thousands of digits.
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    assert main([part.format(file=path) for part in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message.format(file=path)} as a rational")
+
+
 def test_gen_random_has_no_certificate(tmp_path, capsys):
     out = tmp_path / "r.txt"
     code = main([

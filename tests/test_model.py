@@ -72,9 +72,9 @@ def test_classify_monotone(a, b):
 
 
 def test_load_examples():
-    assert load(make_bin("0.53", "0.51")) == F(26, 25)
-    assert load(make_bin()) == 0
-    assert load(make_bin("0.45", "0.25", "0.35")) == F(21, 20)
+    assert load(make_bin("0.53", "0.51"), 100) == F(26, 25)
+    assert load(make_bin(), 1) == 0
+    assert load(make_bin("0.45", "0.25", "0.35"), 100) == F(21, 20)
 
 
 def test_is_covered_examples():
@@ -154,6 +154,30 @@ def test_parse_instance_reports_line():
 def test_parse_instance_rejects_negative():
     with pytest.raises(DomainError, match="line 3: negative item value -1/2"):
         parse_instance("# comment\n0.9\n-1/2\n0.5\n")
+
+
+def test_parse_instance_shares_one_fraction_per_line_text():
+    values = parse_instance("0.5\n1/2\n 0.5 \n# 0.5\n0.5\n1/2\n")
+    assert values == [F(1, 2)] * 5
+    assert values[0] is values[2] is values[3]
+    assert values[1] is values[4]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [("bogus", "cannot parse 'bogus'"), ("-1/2", "negative item value -1/2"), ("1e-5", "cannot parse '1e-5'")],
+    ids=["unparsable", "negative", "exponent"],
+)
+def test_parse_instance_names_a_bad_line_after_repeats(bad, message):
+    with pytest.raises(DomainError, match=f"^line 5: {message}"):
+        parse_instance(f"0.5\n0.5\n# note\n0.5\n{bad}\n0.5\n{bad}\n")
+
+
+def test_from_values_reuses_fractions():
+    values = [F(1, 2), F(3, 5), F(1, 2)]
+    seq = Sequence.from_values(values)
+    assert all(item.value is value for item, value in zip(seq.items, values))
+    assert Sequence.from_values(["0.5", 1]).values() == (F(1, 2), F(1))
 
 
 def test_instance_round_trip_is_bit_exact():

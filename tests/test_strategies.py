@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from collections import Counter
@@ -14,7 +15,8 @@ from bincover.model import (
     class_index,
     load,
 )
-from bincover.generators import example_instance
+from bincover.generators import RandomSpec, example_instance, random_instance
+from bincover.oracle import compute_advice
 from bincover.strategies import (
     StrategyConfig,
     advice_dh_run,
@@ -79,9 +81,10 @@ def test_dh_example_k2():
 
 def test_dh_trivia():
     assert dh_run(seq_of("0.5", "0.5"), 2).covered_count == 1
-    covering = dh_run(seq_of("0.4", "0.4", "0.4"), 3)
+    seq = seq_of("0.4", "0.4", "0.4")
+    covering = dh_run(seq, 3)
     assert covering.covered_count == 1
-    assert load(covering.bins[0]) == F(6, 5)
+    assert load(covering.bins[0], seq.scale) == F(6, 5)
 
 
 def test_dh_on_example_instance():
@@ -280,9 +283,9 @@ def test_integer_loads_match_fraction_sums(values, config):
 def test_dnf_overshoot_bound(values):
     # with all items at most alpha every covered bin stays below 1 + alpha
     alpha = F(1, 3)
-    covering = dnf_run(Sequence.from_values(values))
-    for bin in covering.bins:
-        assert 1 <= load(bin) < 1 + alpha
+    seq = Sequence.from_values(values)
+    for bin in dnf_run(seq).bins:
+        assert 1 <= load(bin, seq.scale) < 1 + alpha
 
 
 @given(st.lists(st.fractions(min_value=F(1, 100), max_value=F(1, 2), max_denominator=100), max_size=40))
@@ -355,3 +358,22 @@ def test_lanes_do_not_scale_with_k():
             tracemalloc.stop()
         assert covering == run(top)
         assert peak < 100_000  # 10^5 lanes made up front take about 17 MB
+
+
+def test_runs_leave_no_cyclic_garbage():
+    # A finished run is freed by reference counting alone: nothing it built
+    # waits for the cyclic collector, which a long run would leave to pile up.
+    seq = random_instance(RandomSpec(400, F(1, 100), F(99, 100), 100, seed=3))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        dnf_run(seq)
+        dh_run(seq, 3)
+        advice_dh_run(seq, 3, 20, F(3, 5))
+        compute_advice(seq, 3)
+        replay(seq, StrategyConfig("adh", k=3, m=20, x_m=F(3, 5)))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
