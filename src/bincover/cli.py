@@ -4,8 +4,9 @@ Subcommands: run, oracle, opt, gen, verify-bounds, encode-advice,
 decode-advice.  Exit codes: 0 success, 1 usage (a ``--limit`` outside
 0..MAX_SIZE_LIMIT, a ``--k`` below 2, a ``verify-bounds --denominator-bound``
 below 3 and a negative ``gen random --n`` included) or standard output
-closed early (as by ``| head``), 2 input parse, 3 bound or identity
-violation, 4 exact-solve limit exceeded.
+closed early (as by ``| head``), 2 input parse (a ``run`` whose covering
+holds a bin load of more digits than Python converts to a string
+included), 3 bound or identity violation, 4 exact-solve limit exceeded.
 
 CSV rows carry exact rationals as numerator/denominator pairs and are
 byte-identical across repeated runs with the same seed and flags; for that
@@ -223,7 +224,15 @@ def _covering_lines(covering: Covering, scale: int) -> list[str]:
     for bin in covering.bins:
         values = " ".join(str(item.value) for item in bin.items)
         tag = f"{bin.kind}" + (f" t={bin.t}" if bin.t is not None else "")
-        lines.append(f"  bin {bin.id} ({tag}) load {load(bin, scale)}: {values}")
+        try:
+            shown = str(load(bin, scale))
+        except ValueError as exc:  # each value parsed within the limit, but their sum can exceed it
+            raise CliError(
+                EXIT_PARSE,
+                f"bin {bin.id}: its load has more digits than Python prints"
+                f" ({sys.get_int_max_str_digits()}-digit limit for integer strings)",
+            ) from exc
+        lines.append(f"  bin {bin.id} ({tag}) load {shown}: {values}")
     if covering.leftover:
         values = " ".join(str(item.value) for item in covering.leftover)
         lines.append(f"  leftover: {values}")
@@ -279,11 +288,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         ratio=ratio,
         wall_ms=(time.perf_counter() - started) * 1000,
     )
+    covering_lines = _covering_lines(covering, raw_seq.scale)  # may fail, so before any output
     print("\n".join(report.lines()))
     if covering.prepacked_count:
         print(f"includes  {covering.prepacked_count} prepacked bin(s) from normalization")
     print("covering:")
-    print("\n".join(_covering_lines(covering, raw_seq.scale)))
+    print("\n".join(covering_lines))
     if args.csv:
         _write_csv(args.csv, [report])
     return EXIT_OK

@@ -275,6 +275,22 @@ def test_exponent_notation_exits_2(tmp_path, capsys, text, command, message):
     assert captured.err.startswith(f"error: {message.format(file=path)} as a rational")
 
 
+def test_run_with_an_unprintable_bin_load_exits_2(tmp_path, capsys):
+    # Each value has fewer digits than Python converts to a string, but the
+    # first bin's load, their sum, has more; nothing may be printed before
+    # the error.
+    q = 10**2500 + 1
+    path = tmp_path / "instance.txt"
+    path.write_text(f"{(q + 1) // 2}/{q}\n{2**8299 + 1}/{2**8300}\n")
+    assert main(["run", str(path), "--strategy", "dnf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: bin 0: its load has more digits than Python prints"
+        f" ({sys.get_int_max_str_digits()}-digit limit for integer strings)\n"
+    )
+
+
 def test_gen_random_has_no_certificate(tmp_path, capsys):
     out = tmp_path / "r.txt"
     code = main([

@@ -1,10 +1,12 @@
+import gc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _naive import exhaustive_partition_opt, gap_deficiency
-from bincover.generators import example_certificate, example_instance
+from _naive import bottom_up_opt, exhaustive_partition_opt, gap_deficiency
+from bincover.cli import _pin_opt
+from bincover.generators import RandomSpec, example_certificate, example_instance, random_instance
 from bincover.model import Sequence
 from bincover.optimal import (
     BOUND_SPECS,
@@ -70,6 +72,51 @@ def test_opt_exact_matches_naive_oracle(values):
     assert opt == exhaustive_partition_opt(values)
     assert verify_certificate(seq, cert) == opt
     assert opt <= floor_load_bound(seq)
+
+
+prime_values = st.sampled_from([7, 11, 13, 101]).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda p: F(p, q))
+)
+mixed_values = st.one_of(
+    grid_values,
+    prime_values,
+    st.just(F(0)),
+    st.fractions(min_value=1, max_value=3, max_denominator=4),
+)
+
+
+@given(st.lists(mixed_values, max_size=12))
+@settings(max_examples=80)
+def test_opt_exact_matches_bottom_up_dp(values):
+    seq = Sequence.from_values(values)
+    assert opt_exact(seq) == bottom_up_opt(seq)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [[F(9, 100)], [F(3, 5)], [F(7, 10), F(1, 5)]] + [[F(p // 2 + 1, p)] for p in (3, 7, 11, 13, 101)],
+    ids=lambda pattern: "+".join(map(str, pattern)),
+)
+def test_opt_exact_matches_bottom_up_dp_on_adversarial_families(pattern):
+    for n in range(15):
+        seq = Sequence.from_values((pattern * n)[:n])
+        assert opt_exact(seq) == bottom_up_opt(seq), n
+
+
+def test_solver_leaves_no_cyclic_garbage():
+    # The search is freed by reference counting alone, like a strategy run.
+    seq = random_instance(RandomSpec(12, F(1, 100), F(99, 100), 100, seed=4))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        opt, cert = opt_exact(seq)
+        pin = _pin_opt(seq, Certificate(()), 12)
+        assert pin.by == "solver" and (pin.lower, pin.cert) == (opt, cert)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_opt_equals_floor_on_example():
